@@ -32,12 +32,10 @@ from .rigidity import rigidity_report
 from .symbolic import (
     evaluate_r2_matrix,
     evaluate_rk_matrix,
-    r2_family,
-    r2_rank,
+    r2_rank_and_dropped,
     r2_to_prime,
     randomized_rank,
-    rk_family,
-    rk_rank,
+    rk_rank_and_dropped,
     rk_to_prime,
 )
 
@@ -152,14 +150,14 @@ def _run_rho(cfg: RunConfig) -> dict:
 
 def _run_pit_r2(cfg: RunConfig) -> dict:
     inst = load_r2(load_json(cfg.input_path), cfg.field_override)
-    _, dropped = r2_family(inst)
-    return {"rank": r2_rank(inst, backend=cfg.sfm), "dropped_rows": dropped}
+    rank, dropped = r2_rank_and_dropped(inst, backend=cfg.sfm)
+    return {"rank": rank, "dropped_rows": dropped}
 
 
 def _run_pit_rk(cfg: RunConfig) -> dict:
     inst = load_rk(load_json(cfg.input_path), cfg.field_override)
-    _, dropped = rk_family(inst)
-    return {"rank": rk_rank(inst, backend=cfg.sfm), "dropped_rows": dropped}
+    rank, dropped = rk_rank_and_dropped(inst, backend=cfg.sfm)
+    return {"rank": rank, "dropped_rows": dropped}
 
 
 def _run_rigidity(cfg: RunConfig) -> dict:

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantError, MixedAmbient
+from .errors import MixedAmbient
 from .fields import FieldSpec, as_fraction
 from .linalg import Subspace, span_dim, subspace_from_rows
 from .partitions import Partition, RhoResult, SpanRankCache, SubspaceFamily
+from .partitions import _check_hat_distinct as _check_hat
 from .sfm import (
     EXHAUSTIVE_LIMIT,
     MinimizerResult,
@@ -45,19 +46,23 @@ class InsertionOracle(SubmodularOracle):
         self._cache = SpanRankCache(base_members, seed_rows=g.basis.rows,
                                     field=g.field, ncols=g.ambient_dim)
         self._dims = [m.dim for m in base_members]
-        self._tail_total = sum((Fraction(d) - c for d in self._dims), Fraction(0))
+        self._dim_total = sum(self._dims)
+        # With k members inside X the value is an integer plus -c*(1 + n - k).
+        n = self.n
+        self._offsets = [-c * (1 + n - k) for k in range(n + 1)]
 
     def eval_mask(self, mask: int) -> Fraction:
         value = self._memo.get(mask)
         if value is not None:
             return value
-        inside = Fraction(0)
+        outside = self._dim_total
+        dims = self._dims
         m = mask
         while m:
             low = m & -m
-            inside += self._dims[low.bit_length() - 1] - self.c
+            outside -= dims[low.bit_length() - 1]
             m ^= low
-        value = self._cache.rank(mask) - self.c + self._tail_total - inside
+        value = self._offsets[mask.bit_count()] + (self._cache.rank(mask) + outside)
         self._memo[mask] = value
         return value
 
@@ -132,17 +137,6 @@ def insert_subspace(state: EngineState, g: Subspace, original_index: int,
     blocks.append(frozenset(merged_indices))
     _check_hat(hat, state.c)
     return EngineState(state.c, state.ambient_dim, state.field, tuple(hat), tuple(blocks))
-
-
-def _check_hat(hat: list[Subspace], c: Fraction):
-    """Duplicate hat members are only legitimate below dimension c."""
-    seen: dict[Subspace, int] = {}
-    for i, m in enumerate(hat):
-        j = seen.get(m)
-        if j is not None and m.dim >= c:
-            raise InternalInvariantError(
-                f"hat members {j} and {i} coincide with dimension {m.dim} >= c = {c}")
-        seen[m] = i
 
 
 def rho(family: SubspaceFamily, c, backend: str | None = None) -> RhoResult:

@@ -2,8 +2,10 @@
 
 Scalars are plain Python values: `fractions.Fraction` over the rationals
 (always in lowest terms with positive denominator), canonical residues in
-[0, p) over a prime field.  A FieldSpec bundles the arithmetic so matrix code
-can stay field-generic while every operation remains exact.
+[0, p) over a prime field.  A FieldSpec bundles the arithmetic so scalar code
+(determinants, dot products, parsing) can stay field-generic while every
+operation remains exact; elimination uses its own integer kernel per field
+(see linalg).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .errors import BadPrime, BadScalar
 
 DEFAULT_PRIME = (1 << 61) - 1
 
-# Witness set proving primality for every n < 3.3 * 10^24, beyond 2^64.
+# Witness set proving primality for every n < 3.18 * 10^23, beyond 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -3,12 +3,20 @@
 Everything here is exact: no floats, no tolerances.  A subspace is stored as
 the reduced row echelon form of its generators with zero rows dropped, which
 makes subspace equality a syntactic comparison.
+
+Elimination has one integer kernel per field rather than one loop over
+FieldSpec operations: over F_p it works on canonical residues; over Q it
+scales every row to a primitive integer vector, eliminates fraction-free and
+divides each pivot row by its pivot once at the end.  The reduced row echelon
+form is unique, so both give exactly the Fractions a field-generic loop would.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import AllRowsZero, DimensionMismatch, MixedAmbient
@@ -49,47 +57,142 @@ class Matrix:
         return Matrix(self.field, cols, self.nrows)
 
 
-def _rref_rows(field: FieldSpec, rows: list[list]) -> list[list]:
-    """In-place reduced row echelon form; returns the nonzero rows."""
+def _primitive(row) -> list[int]:
+    """The primitive integer vector on the same line as a rational row.
+
+    Denominators are cleared by their lcm and the content (gcd of the
+    entries) is divided out; a zero row comes back as all zeros.
+    """
+    den = lcm(*(x.denominator for x in row))
+    if den == 1:
+        vec = [x.numerator for x in row]
+    else:
+        vec = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*vec)
+    if g > 1:
+        vec = [x // g for x in vec]
+    return vec
+
+
+def _lead(vec) -> int | None:
+    return next((j for j, x in enumerate(vec) if x), None)
+
+
+# Echelon bases.  A basis is a list of (pivot column, row) in insertion order;
+# each row is zero before its pivot column and at the pivot columns of the
+# rows before it, so one pass in insertion order reduces a vector against all
+# of them.  Over Q a row is a full-width primitive integer vector; over F_p it
+# is the tail from the pivot column on, scaled so the pivot is 1.
+
+def _eliminate_q(vec: list[int], col: int, piv: list[int]) -> list[int]:
+    """Fraction-free step: clear vec[col] with a*vec - x*piv, then divide out the content."""
+    a = piv[col]
+    x = vec[col]
+    g = gcd(a, x)
+    if g > 1:
+        a //= g
+        x //= g
+    vec = [a * v - x * w for v, w in zip(vec, piv)]
+    g = gcd(*vec)
+    if g > 1:
+        vec = [v // g for v in vec]
+    return vec
+
+
+def _add_row_q(basis: list, vec: list[int]) -> None:
+    """Reduce a primitive integer row against the basis and append what is left, if anything."""
+    for col, piv in basis:
+        if vec[col]:
+            vec = _eliminate_q(vec, col, piv)
+    lead = _lead(vec)
+    if lead is not None:
+        basis.append((lead, vec))
+
+
+def _add_row_fp(basis: list, row, p: int) -> None:
+    """Reduce a row of residues against the basis and append what is left, if anything."""
+    vec = list(row)
+    for col, tail in basis:
+        x = vec[col]
+        if x:
+            vec[col:] = [(v - x * w) % p for v, w in zip(vec[col:], tail)]
+    lead = _lead(vec)
+    if lead is not None:
+        x = vec[lead]
+        if x == 1:
+            basis.append((lead, vec[lead:]))
+        else:
+            inv = pow(x, -1, p)
+            basis.append((lead, [v * inv % p for v in vec[lead:]]))
+
+
+def _extend_basis(basis: list, rows: Iterable[Sequence], p: int | None, ncols: int) -> list:
+    """Add each row's part outside the span to the basis, in place, until it spans K^ncols.
+
+    Over Q (p is None) the rows must already be primitive integer vectors.
+    """
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        if p is None:
+            _add_row_q(basis, row)
+        else:
+            _add_row_fp(basis, row, p)
+    return basis
+
+
+def _echelon(p: int | None, rows: Sequence[Sequence]) -> list:
+    """An echelon basis of the span of the rows, over Q when p is None, else over F_p."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivot_row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, nrows):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        row = rows[pivot_row]
-        if inv != 1:
-            for j in range(col, ncols):
-                row[j] = field.mul(row[j], inv)
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                other = rows[r]
-                for j in range(col, ncols):
-                    other[j] = field.sub(other[j], field.mul(factor, row[j]))
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return [r for r in rows[:pivot_row]]
+    return _extend_basis([], map(_primitive, rows) if p is None else rows, p, len(rows[0]))
+
+
+def _rref_q(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Reduced row echelon form over Q, nonzero rows only.
+
+    Fraction-free throughout: rows become primitive integer vectors, the echelon
+    basis is back-substituted with the same integer step, and each row is
+    divided by its pivot once at the end.
+    """
+    basis = sorted(_echelon(None, rows))
+    for i in range(len(basis) - 1, 0, -1):
+        col, piv = basis[i]
+        for r in range(i):
+            above = basis[r][1]
+            if above[col]:
+                basis[r] = (basis[r][0], _eliminate_q(above, col, piv))
+    zero = Fraction(0)
+    return [[Fraction(x, row[col]) if x else zero for x in row] for col, row in basis]
+
+
+def _rref_fp(p: int, rows: Sequence[Sequence]) -> list[list[int]]:
+    """Reduced row echelon form over F_p on canonical residues, nonzero rows only."""
+    basis = sorted(_echelon(p, rows))
+    for i in range(len(basis) - 1, 0, -1):
+        col, tail = basis[i]
+        for r in range(i):
+            start, above = basis[r]
+            k = col - start
+            x = above[k]
+            if x:
+                above[k:] = [(v - x * w) % p for v, w in zip(above[k:], tail)]
+    return [[0] * col + tail for col, tail in basis]
+
+
+def _rref_rows(field: FieldSpec, rows: Sequence[Sequence]) -> list[list]:
+    """Reduced row echelon form with the zero rows dropped, by the field's own kernel."""
+    return _rref_q(rows) if field.p is None else _rref_fp(field.p, rows)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form with zero rows dropped, plus the rank."""
-    reduced = _rref_rows(m.field, [list(r) for r in m.rows])
+    reduced = _rref_rows(m.field, m.rows)
     return Matrix(m.field, tuple(tuple(r) for r in reduced), m.ncols), len(reduced)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return len(_echelon(m.field.p, m.rows))
 
 
 def determinant(field: FieldSpec, rows: Sequence[Sequence]):
@@ -132,20 +235,10 @@ def dot(field: FieldSpec, u: Sequence, v: Sequence):
     return acc
 
 
-def scale(field: FieldSpec, a, v: Sequence) -> tuple:
-    return tuple(field.mul(a, x) for x in v)
-
-
-def add_vectors(field: FieldSpec, u: Sequence, v: Sequence) -> tuple:
-    if len(u) != len(v):
-        raise DimensionMismatch("adding vectors of different lengths")
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
 def nullspace(m: Matrix) -> list[tuple]:
     """A basis of the right kernel {y : m y = 0}, one vector per free column."""
     field = m.field
-    reduced = _rref_rows(field, [list(r) for r in m.rows])
+    reduced = _rref_rows(field, m.rows)
     pivots = []
     for row in reduced:
         for j, x in enumerate(row):

@@ -22,7 +22,7 @@ from .errors import (
     ZeroSubspace,
 )
 from .fields import FieldSpec, as_fraction
-from .linalg import Subspace, subspace_from_rows
+from .linalg import Subspace, _extend_basis, _primitive, subspace_from_rows
 
 BRUTEFORCE_LIMIT = 12
 
@@ -127,9 +127,15 @@ def _require_full_partition(pi: Partition, n: int):
 class SpanRankCache:
     """Rank of sp(seed rows + members selected by bitmask), memoized.
 
-    States are incremental row echelon forms keyed by bitmask; each state is
-    derived from the state with the lowest set bit removed, so evaluating all
-    subsets costs one row insertion per subset instead of a fresh elimination.
+    A state is an echelon basis from linalg's integer kernels: primitive
+    integer rows eliminated fraction-free over Q, residue rows with one
+    reduction mod p per entry over F_p.  Member and seed rows are made
+    primitive once, here, over Q.
+
+    The state of a mask extends the state of the mask with its lowest set bit
+    removed by that member's rows, so evaluating all subsets costs one row
+    insertion per subset instead of a fresh elimination.  A state with ncols
+    pivots already spans everything: every superset mask shares it as is.
     """
 
     def __init__(self, members: Sequence[Subspace], seed_rows: Sequence[Sequence] = (),
@@ -141,40 +147,30 @@ class SpanRankCache:
             raise MixedAmbient("empty cache needs an explicit field and width")
         self.field = field
         self.ncols = ncols
-        self.member_rows = [m.basis.rows for m in members]
-        base: dict[int, tuple] = {}
-        self._states: dict[int, dict[int, tuple]] = {0: self._insert_rows(base, seed_rows)}
+        convert = _primitive if field.p is None else tuple
+        self.member_rows = [[convert(r) for r in m.basis.rows] for m in members]
+        self._states: dict[int, list] = {
+            0: _extend_basis([], map(convert, seed_rows), field.p, ncols)}
 
-    def _insert_rows(self, pivots: dict[int, tuple], rows: Sequence[Sequence]) -> dict[int, tuple]:
-        """Insert rows into a copy of an echelon state keyed by pivot column."""
-        field = self.field
-        out = dict(pivots)
-        for row in rows:
-            vec = list(row)
-            for col in range(self.ncols):
-                x = vec[col]
-                if x == 0:
-                    continue
-                piv = out.get(col)
-                if piv is None:
-                    inv = field.inv(x)
-                    if inv != 1:
-                        vec = [field.mul(inv, y) for y in vec]
-                    out[col] = tuple(vec)
-                    break
-                for j in range(col, self.ncols):
-                    if piv[j] != 0:
-                        vec[j] = field.sub(vec[j], field.mul(x, piv[j]))
-        return out
-
-    def _state(self, mask: int) -> dict[int, tuple]:
-        state = self._states.get(mask)
+    def _state(self, mask: int) -> list:
+        states = self._states
+        state = states.get(mask)
         if state is not None:
             return state
-        low = mask & -mask
-        parent = self._state(mask & (mask - 1))
-        state = self._insert_rows(parent, self.member_rows[low.bit_length() - 1])
-        self._states[mask] = state
+        # Strip low bits down to the nearest cached ancestor, then build back up.
+        chain = []
+        while state is None:
+            chain.append(mask)
+            mask &= mask - 1
+            state = states.get(mask)
+        # A state that gains no row is shared with its parent rather than copied.
+        for mask in reversed(chain):
+            if len(state) < self.ncols:
+                rows = self.member_rows[(mask & -mask).bit_length() - 1]
+                grown = _extend_basis(list(state), rows, self.field.p, self.ncols)
+                if len(grown) > len(state):
+                    state = grown
+            states[mask] = state
         return state
 
     def rank(self, mask: int) -> int:
@@ -311,10 +307,21 @@ def hat_family(family: SubspaceFamily, pi_star: Partition, c) -> SubspaceFamily:
 
 
 def _check_hat_distinct(members: Sequence[Subspace], c: Fraction):
-    seen: dict[Subspace, int] = {}
+    """Duplicate hat members are only legitimate below dimension c.
+
+    Only members of dimension >= c can raise, and only members of equal
+    dimension can coincide, so just those are hashed.
+    """
+    by_dim: dict[int, list[int]] = {}
     for i, m in enumerate(members):
-        j = seen.get(m)
-        if j is not None and m.dim >= c:
-            raise InternalInvariantError(
-                f"hat members {j} and {i} coincide with dimension {m.dim} >= c = {c}")
-        seen[m] = i
+        if m.dim >= c:
+            by_dim.setdefault(m.dim, []).append(i)
+    for indices in by_dim.values():
+        if len(indices) < 2:
+            continue
+        seen: dict[Subspace, int] = {}
+        for i in indices:
+            j = seen.setdefault(members[i], i)
+            if j != i:
+                raise InternalInvariantError(
+                    f"hat members {j} and {i} coincide with dimension {members[i].dim} >= c = {c}")

@@ -30,6 +30,8 @@ from .fields import FieldSpec
 from .linalg import (
     Matrix,
     Subspace,
+    _extend_basis,
+    _primitive,
     determinant,
     dot,
     kernel_in_subspace,
@@ -117,11 +119,15 @@ def r2_family(inst: R2Instance) -> tuple[SubspaceFamily, list[int]]:
     return SubspaceFamily(inst.field, inst.ambient_dim, tuple(members)), dropped
 
 
+def r2_rank_and_dropped(inst: R2Instance, backend: str | None = None) -> tuple[int, list[int]]:
+    """r2_rank together with r2_family's dropped rows, from one family build."""
+    family, dropped = r2_family(inst)
+    return int(rho(family, 1, backend=backend).value), dropped
+
+
 def r2_rank(inst: R2Instance, backend: str | None = None) -> int:
     """Generic rank of the order-2 symbolic matrix: the partition rank at c=1."""
-    family, _ = r2_family(inst)
-    value = rho(family, 1, backend=backend).value
-    return int(value)
+    return r2_rank_and_dropped(inst, backend)[0]
 
 
 def rk_family(inst: RkInstance) -> tuple[SubspaceFamily, list[int]]:
@@ -138,11 +144,15 @@ def rk_family(inst: RkInstance) -> tuple[SubspaceFamily, list[int]]:
     return SubspaceFamily(inst.field, inst.ambient_dim, tuple(members)), dropped
 
 
+def rk_rank_and_dropped(inst: RkInstance, backend: str | None = None) -> tuple[int, list[int]]:
+    """rk_rank together with rk_family's dropped tensors, from one family build."""
+    family, dropped = rk_family(inst)
+    return int(rho(family, inst.order - 1, backend=backend).value), dropped
+
+
 def rk_rank(inst: RkInstance, backend: str | None = None) -> int:
     """Generic rank of the antisymmetrized order-k matrix: partition rank at c=k-1."""
-    family, _ = rk_family(inst)
-    value = rho(family, inst.order - 1, backend=backend).value
-    return int(value)
+    return rk_rank_and_dropped(inst, backend)[0]
 
 
 def intersect_with_hyperplane(f: Subspace, x: Sequence) -> IntersectionBasis:
@@ -175,24 +185,14 @@ def intersect_with_hyperplane(f: Subspace, x: Sequence) -> IntersectionBasis:
 def _lex_first_independent_columns(field: FieldSpec, m_rows: Sequence[Sequence], k: int) -> list[int] | None:
     """Greedy lexicographically-first set of k independent columns, or None."""
     ncols = len(m_rows[0]) if m_rows else 0
+    p = field.p
     chosen: list[int] = []
-    pivots: dict[int, tuple] = {}
+    basis: list = []
     for j in range(ncols):
         col = [row[j] for row in m_rows]
-        vec = list(col)
-        placed = False
-        for r in range(len(vec)):
-            x = vec[r]
-            if x == 0:
-                continue
-            piv = pivots.get(r)
-            if piv is None:
-                inv = field.inv(x)
-                pivots[r] = tuple(field.mul(inv, y) for y in vec)
-                placed = True
-                break
-            vec = [field.sub(a, field.mul(x, b)) for a, b in zip(vec, piv)]
-        if placed:
+        rank_before = len(basis)
+        _extend_basis(basis, [_primitive(col) if p is None else col], p, len(col))
+        if len(basis) > rank_before:
             chosen.append(j)
             if len(chosen) == k:
                 return chosen

@@ -108,6 +108,26 @@ def test_pit_rk(capsys, tmp_path):
     assert json.loads(out) == {"rank": 2, "dropped_rows": []}
 
 
+def test_pit_builds_the_family_once(capsys, tmp_path, monkeypatch):
+    import genrank.symbolic as symbolic
+
+    calls = []
+    for name in ("r2_family", "rk_family"):
+        original = getattr(symbolic, name)
+        monkeypatch.setattr(symbolic, name,
+                            lambda inst, _f=original: calls.append(inst) or _f(inst))
+    r2 = write(tmp_path, "r2.json", {
+        "field": "q", "ambient_dim": 3,
+        "rows": [{"u": [1, 0, 0], "v": [0, 1, 0]}, {"u": [1, 0, 0], "v": [2, 0, 0]}],
+    })
+    rk = write(tmp_path, "rk.json", {
+        "field": "q", "ambient_dim": 3, "k": 2, "tensors": [[[1, 0, 0], [0, 0, 1]]],
+    })
+    assert run_cli(capsys, "pit-r2", r2)[:2] == (0, '{"dropped_rows": [1], "rank": 1}\n')
+    assert run_cli(capsys, "pit-rk", rk)[:2] == (0, '{"dropped_rows": [], "rank": 1}\n')
+    assert len(calls) == 2
+
+
 def test_rigidity_2d(capsys, graph_path):
     code, out, _ = run_cli(capsys, "rigidity", graph_path)
     assert code == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +113,31 @@ def test_partition_to_json():
     pi = Partition.from_blocks([[2], [0, 1]])
     assert partition_to_json(pi) == [[0, 1], [2]]
     assert json.dumps(partition_to_json(pi)) == "[[0, 1], [2]]"
+
+
+def readme_input_documents():
+    """The documents of the README's "Input documents" block, one per // comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Input documents", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    docs, lines = [], []
+    for line in block.strip().splitlines() + ["//"]:
+        if line.startswith("//"):
+            if lines:
+                docs.append(json.loads(" ".join(lines)))
+            lines = []
+        elif line.strip():
+            lines.append(line)
+    return docs
+
+
+def test_readme_input_documents_load():
+    docs = readme_input_documents()
+    loaders = {"subspaces": load_family, "rows": load_r2, "tensors": load_rk, "edges": load_graph}
+    fields = set()
+    for doc in docs:
+        (key,) = [k for k in loaders if k in doc]
+        loaded = loaders[key](doc)
+        if "field" in doc:
+            fields.add(loaded.field)
+    assert len(docs) == 5
+    assert fields == {FieldSpec.rationals(), FieldSpec.prime(10007)}

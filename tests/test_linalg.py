@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,8 @@ from genrank.fields import FieldSpec
 from genrank.linalg import (
     Matrix,
     Subspace,
+    _is_canonical,
+    _rref_q,
     determinant,
     dot,
     kernel_in_subspace,
@@ -23,6 +26,7 @@ from genrank.linalg import (
     subspace_from_rows,
     zero_subspace,
 )
+from genrank.partitions import SpanRankCache
 
 Q = FieldSpec.rationals()
 FP = FieldSpec.prime(10007)
@@ -169,3 +173,96 @@ def test_sample_vector_deterministic():
     assert sample_vector(Q, 5, random.Random(4)) == sample_vector(Q, 5, random.Random(4))
     v = sample_vector(FP, 8, random.Random(4))
     assert all(0 <= a < 10007 for a in v)
+
+
+# -- differential check of the integer kernels against minors ----------------
+
+def minor_rank(field, rows):
+    """Largest k with a nonzero k x k minor, by the field-generic determinant."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(ncols), k):
+                if determinant(field, [[rows[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+def wild_rational(rng):
+    """Denominators other than 1, both signs, magnitudes up to 10^6."""
+    num = rng.choice([rng.randint(-10**6, 10**6), rng.randint(-3, 3)])
+    return Fraction(num, rng.choice([1, 2, 3, 7, 999983]))
+
+
+def random_rows(field, nrows, ncols, target_rank, rng):
+    """nrows x ncols rows of rank at most target_rank (combinations of a few generators)."""
+    if field.p is None:
+        draw = lambda: wild_rational(rng)  # noqa: E731
+    else:
+        draw = lambda: rng.randrange(field.p)  # noqa: E731
+    gens = [[draw() for _ in range(ncols)] for _ in range(target_rank)]
+    rows = []
+    for _ in range(nrows):
+        coefs = [draw() for _ in gens]
+        row = [field.zero()] * ncols
+        for a, g in zip(coefs, gens):
+            row = [field.add(x, field.mul(a, y)) for x, y in zip(row, g)]
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(10007), FieldSpec.prime(7)])
+def test_rank_kernels_match_minor_rank(field):
+    rng = random.Random(31)
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = random_rows(field, nrows, ncols, rng.randint(0, min(nrows, ncols)), rng)
+        expected = minor_rank(field, rows)
+        m = Matrix.from_rows(field, rows, ncols)
+        reduced, rk = rref(m)
+        assert rank(m) == rk == expected
+        assert _is_canonical(reduced)
+        # the reduced rows span exactly the input rows
+        assert rank(Matrix(field, reduced.rows + m.rows, ncols)) == expected
+        members = [subspace_from_rows(field, ncols, [r]) for r in rows if any(r)]
+        assert span_dim(members) == expected
+
+
+def test_rref_q_canonical_and_spanning():
+    rng = random.Random(8)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = random_rows(Q, nrows, ncols, rng.randint(1, min(nrows, ncols)), rng)
+        reduced = _rref_q(rows)
+        basis = Matrix.from_rows(Q, reduced, ncols) if reduced else Matrix(Q, (), ncols)
+        assert _is_canonical(basis)
+        assert all(isinstance(x, Fraction) for row in reduced for x in row)
+        assert len(reduced) == minor_rank(Q, rows)
+        if reduced:
+            space = Subspace(ncols, basis)
+            assert all(space.contains(r) for r in rows)
+
+
+@pytest.mark.parametrize("field", [Q, FP])
+def test_span_rank_cache_matches_minor_rank(field):
+    """Every mask, with and without seed rows, against minors of the raw generators.
+
+    Half of the families live in a proper subspace, so ranks stall below the
+    ambient dimension.
+    """
+    rng = random.Random(41)
+    for trial in range(6):
+        ambient = rng.randint(2, 4)
+        span = ambient if trial % 2 else ambient - 1
+        raw = [random_rows(field, rng.randint(1, 2), ambient, span, rng) for _ in range(4)]
+        raw = [rows for rows in raw if minor_rank(field, rows)]
+        members = [subspace_from_rows(field, ambient, rows) for rows in raw]
+        seed_raw = random_rows(field, 1, ambient, span, rng)
+        plain = SpanRankCache(members, field=field, ncols=ambient)
+        seeded = SpanRankCache(members, seed_rows=seed_raw, field=field, ncols=ambient)
+        for mask in range(1 << len(members)):
+            rows = [r for i, rs in enumerate(raw) if mask >> i & 1 for r in rs]
+            assert plain.rank(mask) == minor_rank(field, rows)
+            assert seeded.rank(mask) == minor_rank(field, seed_raw + rows)

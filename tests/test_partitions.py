@@ -234,3 +234,29 @@ def test_hat_family_duplicate_scope():
     assert result.partition == Partition.singletons(3)
     hat = hat_family(low, result.partition, 2)
     assert len(hat) == 3
+
+
+def test_span_rank_cache_saturated_masks():
+    """Once a mask spans the ambient space, every superset has rank ncols."""
+    rng = random.Random(6)
+    for field in (Q, FP):
+        family = random_family(field, 3, 7, rng)
+        cache = SpanRankCache(list(family.members))
+        full = [mask for mask in range(1 << 7) if cache.rank(mask) == 3]
+        assert full
+        for mask in full:
+            for extra in range(1 << 7):
+                assert cache.rank(mask | extra) == 3
+
+
+def test_span_rank_cache_many_members_no_recursion():
+    """1100 coordinate lines: building the full mask must not recurse per member."""
+    n = 1100
+    lines = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        lines.append(subspace_from_rows(FP, n, [row]))
+    cache = SpanRankCache(lines)
+    assert cache.rank((1 << n) - 1) == n
+    assert cache.rank((1 << n) - 2) == n - 1
