@@ -18,15 +18,11 @@ from genrank import (
     FieldSpec,
     R2Instance,
     RkInstance,
-    evaluate_r2_matrix,
-    evaluate_rk_matrix,
     r2_family,
+    r2_randomized_rank,
     r2_rank,
-    r2_to_prime,
-    randomized_rank,
+    rk_randomized_rank,
     rk_rank,
-    rk_to_prime,
-    sample_vector,
     split_to_planes,
     rho,
 )
@@ -51,10 +47,7 @@ def main():
     print(f"deterministic generic rank: {det}")
 
     # Cross-check by actually evaluating at random points mod a large prime.
-    prime_inst = r2_to_prime(inst, DEFAULT_PRIME)
-    rand = randomized_rank(
-        lambda r: evaluate_r2_matrix(prime_inst, sample_vector(prime_inst.field, 3, r)),
-        prime_inst.field, trials=5, rng=random.Random(7))
+    rand = r2_randomized_rank(inst, DEFAULT_PRIME, trials=5, rng=random.Random(7))
     print(f"randomized evaluation rank:  {rand}")
     assert det == rand
 
@@ -70,11 +63,7 @@ def main():
     )
     rk_inst = RkInstance(Q, 4, 3, tensors)
     det_k = rk_rank(rk_inst)
-    prime_rk = rk_to_prime(rk_inst, DEFAULT_PRIME)
-    rand_k = randomized_rank(
-        lambda r: evaluate_rk_matrix(
-            prime_rk, [sample_vector(prime_rk.field, 4, r) for _ in range(2)]),
-        prime_rk.field, trials=5, rng=random.Random(11))
+    rand_k = rk_randomized_rank(rk_inst, DEFAULT_PRIME, trials=5, rng=random.Random(11))
     print(f"\nRk instance (k=3): deterministic {det_k}, randomized {rand_k}")
     assert det_k == rand_k
 

@@ -40,6 +40,7 @@ from .rigidity import (
     laman_oracle,
     required_rank,
     rigidity_family,
+    rigidity_randomized_rank,
     rigidity_rank_2d,
     rigidity_report,
 )
@@ -60,10 +61,12 @@ from .symbolic import (
     intersect_with_codim_k,
     intersect_with_hyperplane,
     r2_family,
+    r2_randomized_rank,
     r2_rank,
     r2_to_prime,
     randomized_rank,
     rk_family,
+    rk_randomized_rank,
     rk_rank,
     rk_to_prime,
     split_to_planes,
@@ -106,6 +109,7 @@ __all__ = [
     "minimize_exhaustive",
     "minimize_polynomial",
     "r2_family",
+    "r2_randomized_rank",
     "r2_rank",
     "r2_to_prime",
     "randomized_rank",
@@ -116,9 +120,11 @@ __all__ = [
     "rho_bruteforce",
     "rho_of_partition",
     "rigidity_family",
+    "rigidity_randomized_rank",
     "rigidity_rank_2d",
     "rigidity_report",
     "rk_family",
+    "rk_randomized_rank",
     "rk_rank",
     "rk_to_prime",
     "rref",

@@ -27,16 +27,12 @@ from .jsonio import (
     load_rk,
     partition_to_json,
 )
-from .linalg import sample_vector
-from .rigidity import rigidity_report
+from .rigidity import rigidity_randomized_rank, rigidity_report
 from .symbolic import (
-    evaluate_r2_matrix,
-    evaluate_rk_matrix,
+    r2_randomized_rank,
     r2_rank_and_dropped,
-    r2_to_prime,
-    randomized_rank,
+    rk_randomized_rank,
     rk_rank_and_dropped,
-    rk_to_prime,
 )
 
 
@@ -181,40 +177,18 @@ def _run_rand_rank(cfg: RunConfig) -> dict:
     rng = random.Random(cfg.seed)
     if "rows" in doc:
         inst = load_r2(doc, cfg.field_override)
-        if inst.field.p is None:
-            inst = r2_to_prime(inst, cfg.prime)
-        field = inst.field
-        rank_value = randomized_rank(
-            lambda r: evaluate_r2_matrix(inst, sample_vector(field, inst.ambient_dim, r)),
-            field, trials=cfg.trials, rng=rng)
+        rank_value = r2_randomized_rank(inst, cfg.prime, cfg.trials, rng)
+        prime = inst.field.p or cfg.prime
     elif "tensors" in doc:
         inst = load_rk(doc, cfg.field_override)
-        if inst.field.p is None:
-            inst = rk_to_prime(inst, cfg.prime)
-        field = inst.field
-        k = inst.order
-        rank_value = randomized_rank(
-            lambda r: evaluate_rk_matrix(
-                inst, [sample_vector(field, inst.ambient_dim, r) for _ in range(k - 1)]),
-            field, trials=cfg.trials, rng=rng)
+        rank_value = rk_randomized_rank(inst, cfg.prime, cfg.trials, rng)
+        prime = inst.field.p or cfg.prime
     elif "edges" in doc:
-        from .linalg import Matrix, rank as matrix_rank
-        from .rigidity import symbolic_rigidity_row
-
-        graph = load_graph(doc)
-        field = FieldSpec.prime(cfg.prime)
-
-        def evaluate(r: random.Random) -> Matrix:
-            x = [r.randrange(cfg.prime) for _ in range(cfg.t * graph.n)]
-            rows = tuple(
-                tuple(a % cfg.prime for a in symbolic_rigidity_row(graph, cfg.t, e, x))
-                for e in graph.edges)
-            return Matrix(field, rows, cfg.t * graph.n)
-
-        rank_value = randomized_rank(evaluate, field, trials=cfg.trials, rng=rng)
+        rank_value = rigidity_randomized_rank(load_graph(doc), cfg.t, cfg.prime, cfg.trials, rng)
+        prime = cfg.prime
     else:
         raise InputError("input is none of: r2 instance (rows), rk instance (tensors), graph (edges)")
-    return {"rank": rank_value, "trials": cfg.trials, "prime": field.p}
+    return {"rank": rank_value, "trials": cfg.trials, "prime": prime}
 
 
 def _run_verify(cfg: RunConfig) -> tuple[dict, int]:

@@ -18,13 +18,7 @@ from .fields import FieldSpec, as_fraction
 from .linalg import Subspace, span_dim, subspace_from_rows
 from .partitions import Partition, RhoResult, SpanRankCache, SubspaceFamily
 from .partitions import _check_hat_distinct as _check_hat
-from .sfm import (
-    EXHAUSTIVE_LIMIT,
-    MinimizerResult,
-    SubmodularOracle,
-    minimize_exhaustive,
-    minimize_polynomial,
-)
+from .sfm import MinimizerResult, SubmodularOracle, minimize_exhaustive, minimize_polynomial
 
 # Ground sets up to this size default to the exhaustive backend.
 AUTO_EXHAUSTIVE_LIMIT = 16

@@ -66,6 +66,10 @@ class CharTooSmall(InputError):
     """The prime field is too small for the randomized rank bound."""
 
 
+class BadTrials(InputError):
+    """A randomized rank was asked for fewer than one trial."""
+
+
 # -- rigidity ---------------------------------------------------------------
 
 class BadVertex(InputError):

@@ -4,7 +4,8 @@ Each edge {u, v} of an n-vertex graph contributes, for target dimension t,
 the t-dimensional coordinate subspace spanned by e_{j*n+u} - e_{j*n+v} for
 j = 0..t-1 inside K^(t*n).  The generic rank of the parametric rigidity
 matrix equals the partition rank of that family at c=1, which is exact and
-deterministic for t=2; higher t falls back to randomized evaluation.  A
+deterministic for t=2; higher t falls back to randomized evaluation, with the
+field-size and trial-count checks of `symbolic.randomized_rank`.  A
 (2,3)-pebble game gives an independent combinatorial answer for t=2.
 """
 
@@ -17,8 +18,9 @@ from typing import Sequence
 from .engine import rho
 from .errors import BadOrder, BadVertex, DuplicateEdge, LoopEdge, TooFewVertices
 from .fields import DEFAULT_PRIME, FieldSpec
-from .linalg import Matrix, Subspace, rank, subspace_from_rows
+from .linalg import Matrix, Subspace, subspace_from_rows
 from .partitions import SubspaceFamily
+from .symbolic import randomized_rank
 
 
 @dataclass(frozen=True)
@@ -104,12 +106,20 @@ def symbolic_rigidity_row(graph: Graph, t: int, edge: Sequence[int], x: Sequence
     return tuple(row)
 
 
-def _evaluate_rigidity_matrix(graph: Graph, t: int, field: FieldSpec, x: Sequence) -> Matrix:
-    rows = []
-    for edge in graph.edges:
-        raw = symbolic_rigidity_row(graph, t, edge, x)
-        rows.append(tuple(a % field.p if field.p else a for a in raw))
-    return Matrix(field, tuple(rows), t * graph.n)
+def rigidity_randomized_rank(graph: Graph, t: int, prime: int = DEFAULT_PRIME, trials: int = 5,
+                             rng: random.Random | None = None) -> int:
+    """randomized_rank of the rigidity matrix at random placements over F_prime."""
+    if t < 1:
+        raise BadOrder(f"rigidity dimension t must be at least 1, got {t}")
+    field = FieldSpec.prime(prime)
+
+    def evaluate(r: random.Random) -> Matrix:
+        x = [r.randrange(prime) for _ in range(t * graph.n)]
+        rows = tuple(tuple(a % prime for a in symbolic_rigidity_row(graph, t, e, x))
+                     for e in graph.edges)
+        return Matrix(field, rows, t * graph.n)
+
+    return randomized_rank(evaluate, field, trials, rng)
 
 
 def required_rank(n: int, t: int) -> int:
@@ -123,8 +133,8 @@ def rigidity_report(graph: Graph, t: int = 2, backend: str | None = None,
 
     t=2 is answered deterministically through the partition rank; t >= 3 has
     no known deterministic reduction, so the rank is the best of `trials`
-    random evaluations over F_prime (a one-sided lower bound that is correct
-    with high probability).
+    random evaluations over F_prime, with prime above the edge count (a
+    one-sided lower bound that is correct with high probability).
     """
     if t < 2:
         raise BadOrder(f"rigidity dimension t must be at least 2, got {t}")
@@ -136,13 +146,7 @@ def rigidity_report(graph: Graph, t: int = 2, backend: str | None = None,
         rk = rigidity_rank_2d(graph, backend=backend)
         method = "deterministic"
     else:
-        field = FieldSpec.prime(prime)
-        rng = random.Random(seed)
-        rk = 0
-        for _ in range(trials):
-            child = random.Random(rng.getrandbits(64))
-            x = [child.randrange(prime) for _ in range(t * graph.n)]
-            rk = max(rk, rank(_evaluate_rigidity_matrix(graph, t, field, x)))
+        rk = rigidity_randomized_rank(graph, t, prime, trials, random.Random(seed))
         method = "randomized"
     return RigidityReport(
         dimension=t,

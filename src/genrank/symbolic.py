@@ -20,13 +20,14 @@ from typing import Callable, Sequence
 from .engine import rho
 from .errors import (
     BadOrder,
+    BadTrials,
     CharTooSmall,
     DimensionMismatch,
     DimTooSmall,
     InternalInvariantError,
     MixedAmbient,
 )
-from .fields import FieldSpec
+from .fields import DEFAULT_PRIME, FieldSpec
 from .linalg import (
     Matrix,
     Subspace,
@@ -37,6 +38,7 @@ from .linalg import (
     kernel_in_subspace,
     rank,
     rref,
+    sample_vector,
     subspace_from_rows,
     zero_subspace,
 )
@@ -318,6 +320,8 @@ def randomized_rank(evaluate: Callable[[random.Random], Matrix], field: FieldSpe
     standard union-bound guarantee; each trial draws its randomness from an
     independent seed-derived stream.
     """
+    if trials < 1:
+        raise BadTrials(f"randomized rank needs at least one trial, got {trials}")
     if field.p is None:
         raise CharTooSmall("randomized rank needs a prime field")
     rng = rng or random.Random(0)
@@ -330,6 +334,27 @@ def randomized_rank(evaluate: Callable[[random.Random], Matrix], field: FieldSpe
                 f"characteristic {field.p} is not above the row count {matrix.nrows}")
         best = max(best, rank(matrix))
     return best
+
+
+def r2_randomized_rank(inst: R2Instance, prime: int = DEFAULT_PRIME, trials: int = 5,
+                       rng: random.Random | None = None) -> int:
+    """randomized_rank of the order-2 matrix at random points; Q moves to F_prime."""
+    if inst.field.p is None:
+        inst = r2_to_prime(inst, prime)
+    return randomized_rank(
+        lambda r: evaluate_r2_matrix(inst, sample_vector(inst.field, inst.ambient_dim, r)),
+        inst.field, trials, rng)
+
+
+def rk_randomized_rank(inst: RkInstance, prime: int = DEFAULT_PRIME, trials: int = 5,
+                       rng: random.Random | None = None) -> int:
+    """randomized_rank of the order-k matrix at k-1 random points; Q moves to F_prime."""
+    if inst.field.p is None:
+        inst = rk_to_prime(inst, prime)
+    return randomized_rank(
+        lambda r: evaluate_rk_matrix(
+            inst, [sample_vector(inst.field, inst.ambient_dim, r) for _ in range(inst.order - 1)]),
+        inst.field, trials, rng)
 
 
 def split_to_planes(family: SubspaceFamily) -> SubspaceFamily:

@@ -1,10 +1,10 @@
-"""Seeded self-check suites behind the `verify` subcommand.
+"""Seeded self-check suites behind the `verify` subcommand, and the checks they share.
 
-Each suite re-tests the invariants its module promises on freshly generated
-random instances.  All randomness flows from one master seed (per-suite seeds
-are derived in a fixed order), so a failing run reproduces exactly.  Suites
-are sized to finish in a few seconds; the heavyweight sweeps live in the
-acceptance tests, which reuse the generators defined here.
+Each invariant the package promises is one `check_*` function, which takes one
+instance and returns the failures it found.  The suites run these checks on
+small random instances drawn from one master seed (per-suite seeds are derived
+in a fixed order), so a failing run reproduces exactly; the acceptance tests
+run the same checks on their larger seeded sweeps.
 """
 
 from __future__ import annotations
@@ -33,13 +33,22 @@ from .partitions import (
     Partition,
     SpanRankCache,
     SubspaceFamily,
+    _set_partitions,
     hat_family,
     is_refinement,
     restrict_partition,
     rho_bruteforce,
     rho_of_partition,
 )
-from .rigidity import Graph, laman_oracle, required_rank, rigidity_rank_2d, rigidity_report
+from .rigidity import (
+    Graph,
+    laman_oracle,
+    required_rank,
+    rigidity_family,
+    rigidity_randomized_rank,
+    rigidity_rank_2d,
+    rigidity_report,
+)
 from .sfm import (
     SubmodularOracle,
     maximality_closure,
@@ -48,17 +57,15 @@ from .sfm import (
     verify_submodular,
 )
 from .symbolic import (
+    IntersectionBasis,
     R2Instance,
     RkInstance,
-    evaluate_r2_matrix,
-    evaluate_rk_matrix,
     intersect_with_codim_k,
     intersect_with_hyperplane,
+    r2_randomized_rank,
     r2_rank,
-    r2_to_prime,
-    randomized_rank,
+    rk_randomized_rank,
     rk_rank,
-    rk_to_prime,
     split_to_planes,
 )
 
@@ -67,12 +74,21 @@ SUITE_NAMES = ("linalg", "partitions", "sfm", "engine", "symbolic", "rigidity")
 # The c values every sweep exercises: below, at, between and above typical dims.
 C_VALUES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
 
+BACKENDS = ("exhaustive", "mnp")
+
+# The two fields the small sweeps run over.
+SAMPLE_FIELDS = (FieldSpec.rationals(), FieldSpec.prime(10007))
+
+# (name, graph, planar rank, rigid, degrees of freedom)
+NAMED_GRAPHS = (
+    ("K3", Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 3, True, 0),
+    ("P3", Graph.from_edges(3, [(0, 1), (1, 2)]), 2, False, 1),
+    ("C4", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4, False, 1),
+    ("K4", Graph.from_edges(4, list(itertools.combinations(range(4), 2))), 5, True, 0),
+)
+
 
 # -- generators (also used by the acceptance tests) ---------------------------
-
-def test_fields() -> tuple[FieldSpec, FieldSpec]:
-    return FieldSpec.rationals(), FieldSpec.prime(10007)
-
 
 def random_subspace(field: FieldSpec, ambient_dim: int, rng: random.Random,
                     max_dim: int = 3, bound: int = 5) -> Subspace:
@@ -187,23 +203,208 @@ def all_minimizing_masks(oracle: SubmodularOracle) -> tuple[Fraction, list[int]]
     return best, masks
 
 
-def hyperplane_intersection_dim(family: SubspaceFamily, x) -> int:
-    """dim span of the union of all member-hyperplane intersections."""
-    vectors = []
-    for f in family:
-        vectors.extend(intersect_with_hyperplane(f, x).vectors)
-    if not vectors:
-        return 0
-    return rank(Matrix.from_rows(family.field, vectors, family.ambient_dim))
+def intersection_dim(family: SubspaceFamily, constraints: Matrix) -> int:
+    """dim span of the union of the members' intersections with kernel(constraints):
+    the hyperplane construction for one constraint, signed minors for more."""
+    if constraints.nrows == 1:
+        bases = [intersect_with_hyperplane(f, constraints.rows[0]) for f in family]
+    else:
+        bases = [intersect_with_codim_k(f, constraints) for f in family]
+    vectors = [w for basis in bases for w in basis.vectors]
+    return rank(Matrix.from_rows(family.field, vectors, family.ambient_dim)) if vectors else 0
 
 
-def codim_intersection_dim(family: SubspaceFamily, constraints: Matrix) -> int:
-    vectors = []
-    for f in family:
-        vectors.extend(intersect_with_codim_k(f, constraints).vectors)
-    if not vectors:
-        return 0
-    return rank(Matrix.from_rows(family.field, vectors, family.ambient_dim))
+def permutation_contraction(inst: RkInstance, points) -> Matrix:
+    """Reference contraction: antisymmetrize entrywise, then contract."""
+    k, n, fld = inst.order, inst.ambient_dim, inst.field
+    rows = []
+    for factors in inst.tensors:
+        row = [fld.zero()] * n
+        for idx in itertools.product(range(n), repeat=k):
+            entry = fld.zero()
+            for sigma in itertools.permutations(range(k)):
+                term = fld.one()
+                for r in range(k):
+                    term = fld.mul(term, factors[sigma[r]][idx[r]])
+                odd = sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2
+                entry = fld.add(entry, fld.neg(term) if odd else term)
+            for r in range(k - 1):
+                entry = fld.mul(entry, points[r][idx[r]])
+            row[idx[-1]] = fld.add(row[idx[-1]], entry)
+        rows.append(tuple(row))
+    return Matrix(fld, tuple(rows), n)
+
+
+# -- shared checks: one instance in, the list of failures found out ------------
+
+def _failed(*checks: tuple[bool, str]) -> list[str]:
+    """The messages of the (condition, message) pairs whose condition is false."""
+    return [message for ok, message in checks if not ok]
+
+
+def check_rref(m: Matrix) -> list[str]:
+    """rref idempotent, rank == column rank, nullspace independent and annihilated."""
+    reduced, rk = rref(m)
+    kernel = nullspace(m)
+    return _failed(
+        (rref(reduced) == (reduced, rk) and rk == reduced.nrows,
+         "rref not idempotent or kept zero rows"),
+        (rank(m) == rk == rank(m.transpose()), "rank, rref rank and column rank disagree"),
+        (rk + len(kernel) == m.ncols and
+         (not kernel or rank(Matrix.from_rows(m.field, kernel, m.ncols)) == len(kernel)),
+         "rank-nullity fails"),
+        (all(dot(m.field, row, y) == 0 for y in kernel for row in m.rows),
+         "nullspace vector not annihilated"))
+
+
+def check_kernel_in_subspace(f: Subspace, constraints: Matrix) -> list[str]:
+    """kernel_in_subspace lies in f and the constraints' kernel, with the expected dim."""
+    inter = kernel_in_subspace(f, constraints)
+    mdots = [[dot(f.field, c, b) for b in f.basis.rows] for c in constraints.rows]
+    return _failed(
+        (all(f.contains(v) and all(dot(f.field, c, v) == 0 for c in constraints.rows)
+             for v in inter.basis.rows), "kernel_in_subspace vector invalid"),
+        (inter.dim == f.dim - rank(Matrix.from_rows(f.field, mdots, f.dim)),
+         "kernel_in_subspace dimension off"))
+
+
+def check_span_cache(members: list[Subspace]) -> list[str]:
+    """SpanRankCache.rank equals the direct span dimension on every mask."""
+    cache = SpanRankCache(members)
+    return _failed(*(
+        (cache.rank(mask) == span_dim([f for i, f in enumerate(members) if mask >> i & 1]),
+         f"span cache disagrees with direct span on mask {mask}")
+        for mask in range(1 << len(members))))
+
+
+def check_unique_minimizer(family: SubspaceFamily, c) -> list[str]:
+    """rho_bruteforce gives the least value and its unique fewest-blocks partition."""
+    result = rho_bruteforce(family, c)
+    values = [(rho_of_partition(family, pi, c), pi)
+              for pi in map(Partition.from_blocks, _set_partitions(len(family)))]
+    best = min(v for v, _ in values)
+    fewest = min(pi.n_blocks for v, pi in values if v == best)
+    winners = [pi for v, pi in values if v == best and pi.n_blocks == fewest]
+    return _failed((best == result.value and winners == [result.partition],
+                    f"{len(winners)} fewest-block minimizers at c={c}, "
+                    f"brute force {result.value} vs {best}"))
+
+
+def check_engine_matches_bruteforce(family: SubspaceFamily, c) -> list[str]:
+    """rho equals rho_bruteforce in value and partition on both SFM backends."""
+    brute = rho_bruteforce(family, c)
+    fast = {backend: rho(family, c, backend=backend) for backend in BACKENDS}
+    return _failed(*(
+        ((r.value, r.partition) == (brute.value, brute.partition),
+         f"engine/{backend} at c={c}: {r.value} vs brute force {brute.value}")
+        for backend, r in fast.items()))
+
+
+def check_insertion_order(family: SubspaceFamily, c, perm: list[int]) -> list[str]:
+    """rho of the members taken in order perm, relabeled back, equals rho of the family."""
+    reference = rho(family, c)
+    result = rho(SubspaceFamily(family.field, family.ambient_dim,
+                                tuple(family[i] for i in perm)), c)
+    relabeled = result.partition.relabel({j: perm[j] for j in range(len(perm))})
+    return _failed(((result.value, relabeled) == (reference.value, reference.partition),
+                    f"insertion order {perm} changed the result at c={c}"))
+
+
+def check_mnp_matches_exhaustive(oracle: SubmodularOracle) -> list[str]:
+    """Min-norm point and the exhaustive scan agree on value and maximal minimizer."""
+    exact = minimize_exhaustive(oracle)
+    wolfe = minimize_polynomial(oracle)
+    return _failed(
+        (wolfe.value == exact.value,
+         f"min-norm-point value {wolfe.value} != exhaustive {exact.value}"),
+        (wolfe.minimizer == exact.minimizer, "min-norm-point maximal minimizer differs"))
+
+
+def check_minimizer_lattice(oracle: SubmodularOracle) -> list[str]:
+    """Minimizers (all 2^n sets scanned) form a lattice; their union is the maximal one."""
+    _, masks = all_minimizing_masks(oracle)
+    mask_set = set(masks)
+    union = 0
+    for m in masks:
+        union |= m
+    return _failed(
+        (all((a | b) in mask_set and (a & b) in mask_set for a in masks for b in masks),
+         "minimizers not a lattice"),
+        (minimize_exhaustive(oracle).minimizer ==
+         frozenset(j for j in range(oracle.n) if union >> j & 1),
+         "exhaustive minimizer is not the union of minimizers"))
+
+
+def check_insertion_oracle(hat: SubspaceFamily, member: Subspace, c) -> list[str]:
+    """Insertion oracle: submodular, a minimizer lattice, minimum == rho_c(hat + member)."""
+    oracle = insertion_oracle(hat, member, c)
+    joint = SubspaceFamily(hat.field, hat.ambient_dim, hat.members + (member,))
+    return _failed(
+        (verify_submodular(oracle), "insertion oracle not submodular"),
+        (minimize_exhaustive(oracle).value == rho_bruteforce(joint, c).value,
+         "oracle minimum != joint partition rank")) + check_minimizer_lattice(oracle)
+
+
+def check_rigidity_pebble(graph: Graph) -> list[str]:
+    """The planar rank reaches 2n-3 exactly when the pebble game accepts."""
+    return _failed(((rigidity_rank_2d(graph) == 2 * graph.n - 3) == laman_oracle(graph),
+                    f"rank/pebble-game mismatch on n={graph.n}, edges {graph.edges}"))
+
+
+def check_named_graph(name: str, graph: Graph, expect_rank: int, expect_rigid: bool,
+                      expect_dof: int, rng: random.Random) -> list[str]:
+    """A NAMED_GRAPHS entry: its planar report, brute-force rho and randomized rank."""
+    report = rigidity_report(graph)
+    brute = rho_bruteforce(rigidity_family(graph, 2), 1).value
+    randomized = rigidity_randomized_rank(graph, 2, trials=5, rng=rng)
+    return _failed(
+        ((report.dimension, report.method, report.required, report.rank, report.rigid,
+          report.dof) == (2, "deterministic", 2 * graph.n - 3, expect_rank, expect_rigid,
+                          expect_dof),
+         f"{name}: report ({report.rank}, {report.rigid}, {report.dof})"),
+        (brute == expect_rank, f"{name}: brute force gives {brute}"),
+        (randomized == expect_rank, f"{name}: randomized rank {randomized}"))
+
+
+def check_symbolic_rank(inst: R2Instance | RkInstance, trials: int,
+                        rng: random.Random) -> list[str]:
+    """Deterministic r2/rk rank == randomized evaluation rank over F_(2^61-1)."""
+    if isinstance(inst, R2Instance):
+        kind, deterministic = "r2", r2_rank(inst)
+        randomized = r2_randomized_rank(inst, DEFAULT_PRIME, trials, rng)
+    else:
+        kind, deterministic = "rk", rk_rank(inst)
+        randomized = rk_randomized_rank(inst, DEFAULT_PRIME, trials, rng)
+    return _failed((deterministic == randomized,
+                    f"{kind} deterministic {deterministic} != randomized {randomized}"))
+
+
+def check_w_basis(basis: IntersectionBasis) -> list[str]:
+    """w-vectors lie in the subspace, have zero dots, and span its constraint kernel."""
+    f, constraints = basis.subspace, basis.constraints
+    return _failed(
+        (all(f.contains(w) and all(dot(f.field, c, w) == 0 for c in constraints.rows)
+             for w in basis.vectors), "w-vector outside the subspace or with a nonzero dot"),
+        (basis.as_subspace() == kernel_in_subspace(f, constraints),
+         "w-basis span differs from the exact kernel"))
+
+
+def check_split_to_planes(family: SubspaceFamily) -> list[str]:
+    """split_to_planes yields dim*(dim-1)/2 planes per member and keeps rho_1."""
+    planes = split_to_planes(family)
+    return _failed(
+        (all(p.dim == 2 for p in planes) and
+         len(planes) == sum(f.dim * (f.dim - 1) // 2 for f in family),
+         f"split produced {len(planes)} members, not all planes of the bases"),
+        (rho(planes, 1).value == rho(family, 1).value,
+         "splitting to planes changed the c=1 partition rank"))
+
+
+def check_intersection_identity(family: SubspaceFamily, constraints: Matrix) -> list[str]:
+    """rho_k(F) == dim span of the members' intersections with k generic constraints."""
+    k = constraints.nrows
+    got, expected = intersection_dim(family, constraints), rho(family, k).value
+    return _failed((got == expected, f"codim-{k} intersection dim {got} != rho_{k} {expected}"))
 
 
 # -- suite plumbing ------------------------------------------------------------
@@ -223,6 +424,10 @@ class _Check:
             else:
                 self._dropped += 1
 
+    def extend(self, messages: list[str], where: str):
+        for message in messages:
+            self.ok(False, f"{message} ({where})")
+
     def done(self) -> list[str]:
         if self._dropped:
             self.failures.append(f"... and {self._dropped} more failures")
@@ -232,24 +437,13 @@ class _Check:
 def suite_linalg(seed: int) -> list[str]:
     rng = random.Random(seed)
     check = _Check()
-    for field in test_fields():
+    for field in SAMPLE_FIELDS:
         for trial in range(20):
             nrows = rng.randint(1, 5)
             ncols = rng.randint(1, 6)
             m = Matrix.from_rows(
                 field, [sample_vector(field, ncols, rng) for _ in range(nrows)], ncols)
-            reduced, rk = rref(m)
-            again, rk2 = rref(reduced)
-            check.ok(again == reduced and rk2 == rk,
-                     f"rref not idempotent ({field}, trial {trial})")
-            check.ok(rk == reduced.nrows, f"rref kept zero rows (trial {trial})")
-            check.ok(rank(m) == rank(m.transpose()),
-                     f"row rank != column rank (trial {trial})")
-            kernel = nullspace(m)
-            check.ok(rk + len(kernel) == ncols, f"rank-nullity fails (trial {trial})")
-            for y in kernel:
-                check.ok(all(dot(field, row, y) == 0 for row in m.rows),
-                         f"nullspace vector not annihilated (trial {trial})")
+            check.extend(check_rref(m), f"{field}, trial {trial}")
         for trial in range(12):
             n = rng.randint(1, 4)
             rows = [sample_vector(field, n, rng) for _ in range(n)]
@@ -279,16 +473,8 @@ def suite_linalg(seed: int) -> list[str]:
             k = rng.randint(1, 2)
             constraints = Matrix.from_rows(
                 field, [sample_vector(field, ambient, rng) for _ in range(k)], ambient)
-            inter = kernel_in_subspace(f, constraints)
-            mdots = [[dot(field, crow, brow) for brow in f.basis.rows]
-                     for crow in constraints.rows]
-            expected = f.dim - rank(Matrix.from_rows(field, mdots, f.dim))
-            check.ok(inter.dim == expected,
-                     f"kernel_in_subspace dimension off (trial {trial})")
-            for v in inter.basis.rows:
-                check.ok(f.contains(v) and all(dot(field, c, v) == 0 for c in constraints.rows),
-                         f"kernel_in_subspace vector invalid (trial {trial})")
-    for field in test_fields():
+            check.extend(check_kernel_in_subspace(f, constraints), f"trial {trial}")
+    for field in SAMPLE_FIELDS:
         for trial in range(20):
             a = sample_vector(field, 1, rng)[0]
             check.ok(field.parse(field.format(a)) == a, f"parse/format round trip (trial {trial})")
@@ -301,18 +487,14 @@ def suite_linalg(seed: int) -> list[str]:
 def suite_partitions(seed: int) -> list[str]:
     rng = random.Random(seed)
     check = _Check()
-    for field in test_fields():
+    for field in SAMPLE_FIELDS:
         for trial in range(8):
             n = rng.randint(1, 6)
             ambient = rng.randint(3, 6)
             family = random_family(field, ambient, n, rng)
             dims = [f.dim for f in family]
             total_span = span_dim(list(family.members))
-            cache = SpanRankCache(list(family.members))
-            for mask in range(1 << n):
-                direct = span_dim([family[i] for i in range(n) if mask >> i & 1]) if mask else 0
-                check.ok(cache.rank(mask) == direct,
-                         f"span cache disagrees with direct span (trial {trial}, mask {mask})")
+            check.extend(check_span_cache(list(family.members)), f"trial {trial}")
             for c in C_VALUES:
                 singles = rho_of_partition(family, Partition.singletons(n), c)
                 check.ok(singles == sum(Fraction(d) - c for d in dims),
@@ -363,25 +545,10 @@ def suite_sfm(seed: int) -> list[str]:
         oracle = coverage_oracle(n, rng)
         check.ok(verify_submodular(oracle, trials=100, rng=rng),
                  f"coverage oracle not submodular (trial {trial})")
-        exact = minimize_exhaustive(oracle)
-        wolfe = minimize_polynomial(oracle)
-        check.ok(exact.value == wolfe.value,
-                 f"min-norm-point value differs from exhaustive (trial {trial})")
-        check.ok(exact.minimizer == wolfe.minimizer,
-                 f"maximal minimizers differ (trial {trial})")
+        check.extend(check_mnp_matches_exhaustive(oracle), f"trial {trial}")
         if n <= 6:
-            best, masks = all_minimizing_masks(oracle)
-            mask_set = set(masks)
-            for a in masks:
-                for b in masks:
-                    check.ok((a | b) in mask_set and (a & b) in mask_set,
-                             f"minimizers not a lattice (trial {trial})")
-            union = 0
-            for m in masks:
-                union |= m
-            check.ok(exact.minimizer == frozenset(
-                i for i in range(n) if union >> i & 1),
-                f"exhaustive minimizer is not the union of minimizers (trial {trial})")
+            check.extend(check_minimizer_lattice(oracle), f"trial {trial}")
+        exact = minimize_exhaustive(oracle)
         closure = maximality_closure(oracle, exact.minimizer)
         check.ok(closure == exact.minimizer,
                  f"maximal minimizer not closed (trial {trial})")
@@ -399,45 +566,32 @@ def suite_sfm(seed: int) -> list[str]:
 def suite_engine(seed: int) -> list[str]:
     rng = random.Random(seed)
     check = _Check()
-    for field in test_fields():
+    for field in SAMPLE_FIELDS:
         for trial in range(6):
             n = rng.randint(1, 6)
             ambient = rng.randint(3, 7)
             family = random_family(field, ambient, n, rng)
+            where = f"{field}, trial {trial}"
             for c in C_VALUES:
-                brute = rho_bruteforce(family, c)
-                for backend in ("exhaustive", "mnp"):
-                    fast = rho(family, c, backend=backend)
-                    check.ok(fast.value == brute.value and fast.partition == brute.partition,
-                             f"engine/{backend} disagrees with brute force "
-                             f"({field}, trial {trial}, c={c})")
+                check.extend(check_engine_matches_bruteforce(family, c), where)
                 perm = list(range(n))
                 rng.shuffle(perm)
-                shuffled = SubspaceFamily(field, ambient,
-                                          tuple(family[i] for i in perm))
-                relabeled = rho(shuffled, c).partition.relabel(
-                    {j: perm[j] for j in range(n)})
-                check.ok(relabeled == brute.partition,
-                         f"insertion order changed the partition (trial {trial}, c={c})")
+                check.extend(check_insertion_order(family, c, perm), where)
             check.ok(rho(family, 0).value == Fraction(span_dim(list(family.members))),
-                     f"c=0 shortcut wrong (trial {trial})")
+                     f"c=0 shortcut wrong ({where})")
             check.ok(rho(family, -1).value == Fraction(span_dim(list(family.members))) + 1,
-                     f"c=-1 shortcut wrong (trial {trial})")
+                     f"c=-1 shortcut wrong ({where})")
             # stepwise fold: hat discipline and oracle consistency at every insertion
             c = Fraction(1)
             state = empty_state(field, ambient, c)
             for i, member in enumerate(family):
                 if state.hat:
-                    oracle = insertion_oracle(state.hat_family(), member, c)
-                    check.ok(verify_submodular(oracle, trials=50, rng=rng),
-                             f"insertion oracle not submodular (trial {trial}, step {i})")
-                    joint = SubspaceFamily(field, ambient, state.hat + (member,))
-                    check.ok(minimize_exhaustive(oracle).value == rho_bruteforce(joint, c).value,
-                             f"oracle minimum != joint partition rank (trial {trial}, step {i})")
+                    check.extend(check_insertion_oracle(state.hat_family(), member, c),
+                                 f"{where}, step {i}")
                 state = insert_subspace(state, member, i)
                 hat_check = rho_bruteforce(state.hat_family(), c)
                 check.ok(hat_check.partition.n_blocks == len(state.hat),
-                         f"hat not all singletons (trial {trial}, step {i})")
+                         f"hat not all singletons ({where}, step {i})")
     empty = SubspaceFamily(FieldSpec.rationals(), 3, ())
     result = rho(empty, 1)
     check.ok(result.value == 0 and result.partition.n_blocks == 0,
@@ -448,30 +602,15 @@ def suite_engine(seed: int) -> list[str]:
 def suite_symbolic(seed: int) -> list[str]:
     rng = random.Random(seed)
     check = _Check()
-    rational, small_prime = test_fields()
+    rational, small_prime = SAMPLE_FIELDS
     for trial in range(8):
         ambient = rng.randint(3, 6)
         inst = random_r2_instance(rational, ambient, rng.randint(1, 6), rng)
-        det_rank = r2_rank(inst)
-        prime_inst = r2_to_prime(inst, DEFAULT_PRIME)
-        rand_rank = randomized_rank(
-            lambda r: evaluate_r2_matrix(
-                prime_inst, sample_vector(prime_inst.field, ambient, r)),
-            prime_inst.field, trials=3, rng=rng)
-        check.ok(det_rank == rand_rank,
-                 f"r2 deterministic {det_rank} != randomized {rand_rank} (trial {trial})")
+        check.extend(check_symbolic_rank(inst, 3, rng), f"trial {trial}")
     for trial in range(4):
         ambient = rng.randint(4, 6)
         inst = random_rk_instance(rational, ambient, 3, rng.randint(1, 4), rng)
-        det_rank = rk_rank(inst)
-        prime_inst = rk_to_prime(inst, DEFAULT_PRIME)
-        rand_rank = randomized_rank(
-            lambda r: evaluate_rk_matrix(
-                prime_inst,
-                [sample_vector(prime_inst.field, ambient, r) for _ in range(2)]),
-            prime_inst.field, trials=3, rng=rng)
-        check.ok(det_rank == rand_rank,
-                 f"rk deterministic {det_rank} != randomized {rand_rank} (trial {trial})")
+        check.extend(check_symbolic_rank(inst, 3, rng), f"trial {trial}")
     for field in (rational, small_prime):
         for trial in range(10):
             ambient = rng.randint(3, 6)
@@ -479,13 +618,8 @@ def suite_symbolic(seed: int) -> list[str]:
             x = sample_vector(field, ambient, rng)
             if all(a == 0 for a in x):
                 continue
-            basis = intersect_with_hyperplane(f, x)
-            exact = kernel_in_subspace(f, Matrix.from_rows(field, [x], ambient))
-            check.ok(basis.as_subspace() == exact,
-                     f"hyperplane basis != kernel (field {field}, trial {trial})")
-            for w in basis.vectors:
-                check.ok(dot(field, w, x) == 0 and f.contains(w),
-                         f"hyperplane w-vector invalid (trial {trial})")
+            check.extend(check_w_basis(intersect_with_hyperplane(f, x)),
+                         f"hyperplane, {field}, trial {trial}")
         for trial in range(6):
             ambient = rng.randint(5, 7)
             k = rng.randint(1, 2)
@@ -494,72 +628,46 @@ def suite_symbolic(seed: int) -> list[str]:
                 continue
             constraints = Matrix.from_rows(
                 field, [sample_vector(field, ambient, rng) for _ in range(k)], ambient)
-            basis = intersect_with_codim_k(f, constraints)
-            exact = kernel_in_subspace(f, constraints)
-            check.ok(basis.as_subspace() == exact,
-                     f"codim-k basis != kernel (field {field}, trial {trial})")
+            check.extend(check_w_basis(intersect_with_codim_k(f, constraints)),
+                         f"codim-{k}, {field}, trial {trial}")
     big = FieldSpec.prime(DEFAULT_PRIME)
     for trial in range(6):
         ambient = rng.randint(4, 6)
         family = random_family(big, ambient, rng.randint(1, 4), rng, min_dim=2)
-        expected = rho(family, 1).value
         x = sample_vector(big, ambient, rng)
-        check.ok(hyperplane_intersection_dim(family, x) == expected,
-                 f"hyperplane identity fails (trial {trial})")
+        check.extend(check_intersection_identity(family, Matrix.from_rows(big, [x], ambient)),
+                     f"trial {trial}")
     for trial in range(4):
         ambient = rng.randint(5, 7)
         k = 2
         family = random_family(big, ambient, rng.randint(1, 3), rng,
                                max_dim=ambient - 2, min_dim=k + 1)
-        expected = rho(family, k).value
         constraints = Matrix.from_rows(
             big, [sample_vector(big, ambient, rng) for _ in range(k)], ambient)
-        check.ok(codim_intersection_dim(family, constraints) == expected,
-                 f"codim-{k} identity fails (trial {trial})")
+        check.extend(check_intersection_identity(family, constraints), f"trial {trial}")
     for trial in range(4):
         ambient = rng.randint(4, 6)
         family = random_family(rational, ambient, rng.randint(1, 4), rng, min_dim=2)
-        planes = split_to_planes(family)
-        check.ok(all(p.dim == 2 for p in planes),
-                 f"split produced a non-plane (trial {trial})")
-        expected_count = sum(f.dim * (f.dim - 1) // 2 for f in family)
-        check.ok(len(planes) == expected_count,
-                 f"split produced {len(planes)} planes, expected {expected_count}")
-        check.ok(rho(planes, 1).value == rho(family, 1).value,
-                 f"splitting to planes changed the c=1 partition rank (trial {trial})")
+        check.extend(check_split_to_planes(family), f"trial {trial}")
     return check.done()
 
 
 def suite_rigidity(seed: int) -> list[str]:
     rng = random.Random(seed)
     check = _Check()
-    named = [
-        ("K3", Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 3, True, 0),
-        ("P3", Graph.from_edges(3, [(0, 1), (1, 2)]), 2, False, 1),
-        ("C4", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4, False, 1),
-        ("K4", Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
-         5, True, 0),
-    ]
-    for name, graph, expect_rank, expect_rigid, expect_dof in named:
-        report = rigidity_report(graph)
-        check.ok(report.rank == expect_rank and report.rigid == expect_rigid
-                 and report.dof == expect_dof,
-                 f"{name} report off: rank {report.rank}, rigid {report.rigid}")
     for n in (2, 3, 4):
         for graph in graphs_up_to_iso(n):
-            deterministic = rigidity_rank_2d(graph)
-            check.ok((deterministic == 2 * n - 3) == laman_oracle(graph),
-                     f"rank/pebble-game mismatch on n={n}, edges {graph.edges}")
+            check.extend(check_rigidity_pebble(graph), "census")
     for trial in range(6):
         n = rng.randint(4, 6)
-        graph = random_graph(n, rng)
-        check.ok((rigidity_rank_2d(graph) == 2 * n - 3) == laman_oracle(graph),
-                 f"rank/pebble-game mismatch on random graph (trial {trial})")
-    k4 = named[3][1]
+        check.extend(check_rigidity_pebble(random_graph(n, rng)), f"trial {trial}")
+    k4 = NAMED_GRAPHS[3][1]
     report3 = rigidity_report(k4, t=3, trials=3, seed=rng.randrange(2**32))
     check.ok(report3.rank == 6 and report3.rigid and report3.method == "randomized",
              f"K4 in three dimensions: rank {report3.rank}, rigid {report3.rigid}")
     check.ok(required_rank(4, 3) == 6, "required rank for n=4, t=3 is not 6")
+    for entry in NAMED_GRAPHS:
+        check.extend(check_named_graph(*entry, rng), "named graphs")
     return check.done()
 
 

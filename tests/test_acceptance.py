@@ -9,52 +9,39 @@ below 10^-17 for every size used here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
 
-from genrank.engine import empty_state, insert_subspace, insertion_oracle, rho
+from genrank.engine import empty_state, insert_subspace, rho
 from genrank.fields import DEFAULT_PRIME, FieldSpec
-from genrank.linalg import Matrix, dot, kernel_in_subspace, rank, sample_vector
+from genrank.linalg import Matrix, sample_vector
 from genrank.partitions import (
-    Partition,
     SubspaceFamily,
-    _set_partitions,
     hat_family,
     is_refinement,
     restrict_partition,
     rho_bruteforce,
-    rho_of_partition,
 )
-from genrank.rigidity import (
-    Graph,
-    laman_oracle,
-    rigidity_family,
-    rigidity_rank_2d,
-    rigidity_report,
-    symbolic_rigidity_row,
-)
-from genrank.sfm import minimize_exhaustive, verify_submodular
-from genrank.symbolic import (
-    evaluate_r2_matrix,
-    evaluate_rk_matrix,
-    intersect_with_codim_k,
-    intersect_with_hyperplane,
-    r2_rank,
-    r2_to_prime,
-    randomized_rank,
-    rk_rank,
-    rk_to_prime,
-)
+from genrank.symbolic import evaluate_rk_matrix, intersect_with_codim_k, intersect_with_hyperplane
 from genrank.verify import (
+    BACKENDS,
     C_VALUES,
-    all_minimizing_masks,
-    codim_intersection_dim,
+    NAMED_GRAPHS,
+    SAMPLE_FIELDS,
+    check_engine_matches_bruteforce,
+    check_insertion_oracle,
+    check_intersection_identity,
+    check_named_graph,
+    check_rigidity_pebble,
+    check_symbolic_rank,
+    check_unique_minimizer,
+    check_w_basis,
     graphs_up_to_iso,
-    hyperplane_intersection_dim,
+    intersection_dim,
+    permutation_contraction,
     random_family,
     random_r2_instance,
     random_rk_instance,
@@ -71,11 +58,16 @@ def _report(label, failures, detail, start):
     assert not failures, f"{label}: " + "; ".join(failures[:5])
 
 
+def _at(where, messages):
+    """Tag the failures a shared check returned with the instance they came from."""
+    return [f"{where}: {message}" for message in messages]
+
+
 def _sweep_families():
     """The 200 seeded families shared by the equivalence and oracle criteria."""
     rng = random.Random(20011)
     families = []
-    for field in (FieldSpec.rationals(), FieldSpec.prime(10007)):
+    for field in SAMPLE_FIELDS:
         for _ in range(100):
             ambient = rng.randint(2, 8)
             size = rng.randint(1, 7)
@@ -87,16 +79,11 @@ def test_01_bruteforce_equivalence():
     """rho == rho_bruteforce in value and partition, both backends, 200 families."""
     start = time.perf_counter()
     failures = []
-    checked = 0
-    for idx, family in enumerate(_sweep_families()):
+    families = _sweep_families()
+    for idx, family in enumerate(families):
         for c in C_VALUES:
-            brute = rho_bruteforce(family, c)
-            for backend in ("exhaustive", "mnp"):
-                fast = rho(family, c, backend=backend)
-                checked += 1
-                if (fast.value, fast.partition) != (brute.value, brute.partition):
-                    failures.append(f"family {idx}, c={c}, {backend}: "
-                                    f"{fast.value} vs {brute.value}")
+            failures += _at(f"family {idx}", check_engine_matches_bruteforce(family, c))
+    checked = len(families) * len(C_VALUES) * len(BACKENDS)
     _report("criterion-01 brute-force equivalence", failures,
             f"{checked} engine runs match the brute-force oracle exactly", start)
 
@@ -114,8 +101,7 @@ def test_02_rigidity_ground_truth():
     for n in range(2, 7):
         for graph in graphs_up_to_iso(n):
             checked += 1
-            if (rigidity_rank_2d(graph) == 2 * n - 3) != laman_oracle(graph):
-                failures.append(f"n={n}, edges={graph.edges}")
+            failures += check_rigidity_pebble(graph)
     _report("criterion-02 rigidity ground truth", failures,
             f"{checked} graphs agree with the pebble game", start)
 
@@ -124,31 +110,9 @@ def test_03_named_instances():
     """K3, P3, C4, K4: exact reports, brute-force and randomized cross-checks."""
     start = time.perf_counter()
     failures = []
-    named = [
-        ("K3", Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 3, True, 0),
-        ("P3", Graph.from_edges(3, [(0, 1), (1, 2)]), 2, False, 1),
-        ("C4", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4, False, 1),
-        ("K4", Graph.from_edges(4, list(itertools.combinations(range(4), 2))),
-         5, True, 0),
-    ]
     rng = random.Random(20033)
-    for name, graph, expect_rank, expect_rigid, expect_dof in named:
-        report = rigidity_report(graph)
-        if (report.rank, report.rigid, report.dof) != (expect_rank, expect_rigid, expect_dof):
-            failures.append(f"{name}: report ({report.rank}, {report.rigid}, {report.dof})")
-        brute = rho_bruteforce(rigidity_family(graph, 2), 1)
-        if brute.value != expect_rank:
-            failures.append(f"{name}: brute force gives {brute.value}")
-
-        def evaluate(r, graph=graph):
-            x = [r.randrange(DEFAULT_PRIME) for _ in range(2 * graph.n)]
-            rows = tuple(tuple(a % DEFAULT_PRIME for a in symbolic_rigidity_row(graph, 2, e, x))
-                         for e in graph.edges)
-            return Matrix(BIG, rows, 2 * graph.n)
-
-        randomized = randomized_rank(evaluate, BIG, trials=5, rng=rng)
-        if randomized != expect_rank:
-            failures.append(f"{name}: randomized rank {randomized}")
+    for entry in NAMED_GRAPHS:
+        failures += check_named_graph(*entry, rng)
     _report("criterion-03 named rigidity instances", failures,
             "K3/P3/C4/K4 exact on all three oracles", start)
 
@@ -161,44 +125,9 @@ def test_04_pit_r2_agreement():
     for idx in range(100):
         ambient = rng.randint(2, 10)
         inst = random_r2_instance(FieldSpec.rationals(), ambient, rng.randint(1, 12), rng)
-        deterministic = r2_rank(inst)
-        prime_inst = r2_to_prime(inst, DEFAULT_PRIME)
-        randomized = randomized_rank(
-            lambda r: evaluate_r2_matrix(
-                prime_inst, sample_vector(prime_inst.field, ambient, r)),
-            prime_inst.field, trials=5, rng=rng)
-        if deterministic != randomized:
-            failures.append(f"instance {idx}: {deterministic} vs {randomized}")
+        failures += _at(f"instance {idx}", check_symbolic_rank(inst, 5, rng))
     _report("criterion-04 PIT r2 agreement", failures,
             "100/100 instances: deterministic == randomized", start)
-
-
-def _perm_sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
-
-
-def _permutation_contraction(inst, points):
-    k, n, fld = inst.order, inst.ambient_dim, inst.field
-    rows = []
-    for factors in inst.tensors:
-        row = [fld.zero()] * n
-        for idx in itertools.product(range(n), repeat=k):
-            entry = fld.zero()
-            for sigma in itertools.permutations(range(k)):
-                term = fld.one()
-                for r in range(k):
-                    term = fld.mul(term, factors[sigma[r]][idx[r]])
-                entry = fld.add(entry, term if _perm_sign(sigma) > 0 else fld.neg(term))
-            for r in range(k - 1):
-                entry = fld.mul(entry, points[r][idx[r]])
-            row[idx[-1]] = fld.add(row[idx[-1]], entry)
-        rows.append(tuple(row))
-    return Matrix(fld, tuple(rows), n)
 
 
 def test_05_pit_rk_agreement():
@@ -210,22 +139,11 @@ def test_05_pit_rk_agreement():
     for idx in range(50):
         n = rng.randint(4, 6)
         inst = random_rk_instance(FieldSpec.rationals(), n, 3, rng.randint(1, 8), rng)
-        deterministic = rk_rank(inst)
-        prime_inst = rk_to_prime(inst, DEFAULT_PRIME)
-        randomized = randomized_rank(
-            lambda r: evaluate_rk_matrix(
-                prime_inst, [sample_vector(prime_inst.field, n, r) for _ in range(2)]),
-            prime_inst.field, trials=5, rng=rng)
-        if deterministic != randomized:
-            failures.append(f"instance {idx}: {deterministic} vs {randomized}")
+        failures += _at(f"instance {idx}", check_symbolic_rank(inst, 5, rng))
         if idx < 20:
             points = [sample_vector(inst.field, n, rng) for _ in range(2)]
-            fast = evaluate_rk_matrix(inst, points)
-            slow = _permutation_contraction(inst, points)
-            if fast != slow:
+            if evaluate_rk_matrix(inst, points) != permutation_contraction(inst, points):
                 failures.append(f"instance {idx}: expansion != contraction")
-            elif rank(fast) != rank(slow):
-                failures.append(f"instance {idx}: contraction rank differs")
     _report("criterion-05 PIT rk agreement", failures,
             "50/50 rank agreements, 20/20 exact contraction matches", start)
 
@@ -239,22 +157,17 @@ def test_06_intersection_identities():
     for idx in range(100):
         ambient = rng.randint(4, 8)
         family = random_family(BIG, ambient, rng.randint(1, 5), rng, min_dim=2)
-        expected = rho(family, 1).value
         x = sample_vector(BIG, ambient, rng)
-        got = hyperplane_intersection_dim(family, x)
-        if got != expected:
-            failures.append(f"hyperplane {idx}: {got} vs {expected}")
+        failures += _at(f"hyperplane {idx}", check_intersection_identity(
+            family, Matrix.from_rows(BIG, [x], ambient)))
     for idx in range(50):
         k = rng.choice((2, 3))
         ambient = rng.randint(k + 3, 8)
         family = random_family(BIG, ambient, rng.randint(1, 4), rng,
                                max_dim=min(k + 2, ambient - 1), min_dim=k + 1)
-        expected = rho(family, k).value
         constraints = Matrix.from_rows(
             BIG, [sample_vector(BIG, ambient, rng) for _ in range(k)], ambient)
-        got = codim_intersection_dim(family, constraints)
-        if got != expected:
-            failures.append(f"codim-{k} {idx}: {got} vs {expected}")
+        failures += _at(f"codim-{k} {idx}", check_intersection_identity(family, constraints))
     _report("criterion-06 intersection identities", failures,
             "100 hyperplane + 50 codim-k identities exact", start)
 
@@ -264,7 +177,7 @@ def test_07_w_basis_exactness():
     start = time.perf_counter()
     failures = []
     rng = random.Random(20077)
-    fields = (FieldSpec.rationals(), FieldSpec.prime(10007), BIG)
+    fields = (*SAMPLE_FIELDS, BIG)
     for idx in range(200):
         field = fields[idx % 3]
         k = rng.choice((1, 1, 2, 3))
@@ -277,17 +190,11 @@ def test_07_w_basis_exactness():
             while all(a == 0 for a in x):
                 x = sample_vector(field, ambient, rng)
             basis = intersect_with_hyperplane(f, x)
-            constraints = Matrix.from_rows(field, [x], ambient)
         else:
             constraints = Matrix.from_rows(
                 field, [sample_vector(field, ambient, rng) for _ in range(k)], ambient)
             basis = intersect_with_codim_k(f, constraints)
-        bad_dot = any(dot(field, w, c) != 0
-                      for w in basis.vectors for c in constraints.rows)
-        if bad_dot:
-            failures.append(f"pair {idx}: nonzero dot")
-        if basis.as_subspace() != kernel_in_subspace(f, constraints):
-            failures.append(f"pair {idx}: span differs from kernel")
+        failures += _at(f"pair {idx}", check_w_basis(basis))
     _report("criterion-07 w-basis exactness", failures,
             "200 subspace/constraint pairs: zero dots, exact spans", start)
 
@@ -302,32 +209,13 @@ def test_08_submodularity_and_lattice():
             state = empty_state(family.field, family.ambient_dim, c)
             for i, member in enumerate(family):
                 if state.hat:
-                    oracle = insertion_oracle(state.hat_family(), member, c)
                     oracles += 1
-                    if oracle.n > 6:
-                        failures.append(f"family {idx}: oracle ground {oracle.n} > 6")
-                        continue
-                    if not verify_submodular(oracle):
-                        failures.append(f"family {idx}, c={c}, step {i}: not submodular")
-                    _, masks = all_minimizing_masks(oracle)
-                    mask_set = set(masks)
-                    union = 0
-                    for m in masks:
-                        union |= m
-                        if (m | masks[0]) not in mask_set or (m & masks[0]) not in mask_set:
-                            failures.append(f"family {idx}, c={c}, step {i}: lattice broken")
-                    for a in masks:
-                        for b in masks:
-                            if (a | b) not in mask_set or (a & b) not in mask_set:
-                                failures.append(
-                                    f"family {idx}, c={c}, step {i}: lattice broken")
-                                break
-                        else:
-                            continue
-                        break
-                    if minimize_exhaustive(oracle).minimizer != frozenset(
-                            j for j in range(oracle.n) if union >> j & 1):
-                        failures.append(f"family {idx}, c={c}, step {i}: union not maximal")
+                    where = f"family {idx}, c={c}, step {i}"
+                    if len(state.hat) > 6:
+                        failures.append(f"{where}: oracle ground {len(state.hat)} > 6")
+                    else:
+                        failures += _at(where, check_insertion_oracle(
+                            state.hat_family(), member, c))
                 state = insert_subspace(state, member, i)
     _report("criterion-08 submodularity and lattice", failures,
             f"{oracles} insertion oracles verified exhaustively", start)
@@ -348,22 +236,7 @@ def test_09_structural_properties():
         extra = random_family(field, ambient, n_g, rng) if n_g else None
         result = rho_bruteforce(family, c)
 
-        # uniqueness of the fewest-blocks minimizer
-        best = None
-        fewest = None
-        winners = 0
-        for blocks in _set_partitions(n_f):
-            pi = Partition.from_blocks(blocks)
-            value = rho_of_partition(family, pi, c)
-            if best is None or value < best:
-                best, fewest, winners = value, pi.n_blocks, 1
-            elif value == best:
-                if pi.n_blocks < fewest:
-                    fewest, winners = pi.n_blocks, 1
-                elif pi.n_blocks == fewest:
-                    winners += 1
-        if winners != 1 or best != result.value:
-            failures.append(f"instance {idx}: {winners} fewest-block minimizers")
+        failures += _at(f"instance {idx}", check_unique_minimizer(family, c))
 
         # refinement monotonicity on a random subfamily
         subset = sorted(i for i in range(n_f) if rng.random() < 0.6)
@@ -406,7 +279,7 @@ def test_10_statistical_genericity():
     mismatches = 0
     for _ in range(samples):
         x = sample_vector(field, ambient, rng)
-        if hyperplane_intersection_dim(family, x) != expected:
+        if intersection_dim(family, Matrix.from_rows(field, [x], ambient)) != expected:
             mismatches += 1
     q = Fraction(5, 10007)
     bound = float(q) + 3 * math.sqrt(float(q) * (1 - float(q)) / samples)

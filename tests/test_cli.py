@@ -205,6 +205,20 @@ def test_nonprime_modulus_exit_1(capsys, graph_path):
     assert code == 1 and "prime" in err
 
 
+def test_randomized_paths_reject_bad_arguments(capsys, tmp_path):
+    k5 = write(tmp_path, "k5.json",
+               {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]})
+    for argv, error in ((["rigidity", k5, "--t", "3", "--prime", "2"], "CharTooSmall"),
+                        (["rand-rank", k5, "--t", "3", "--prime", "2"], "CharTooSmall"),
+                        (["rigidity", k5, "--t", "3", "--trials", "0"], "BadTrials"),
+                        (["rigidity", k5, "--t", "3", "--trials", "-2"], "BadTrials"),
+                        (["rand-rank", k5, "--trials", "0"], "BadTrials"),
+                        (["rand-rank", k5, "--t", "0"], "BadOrder"),
+                        (["rand-rank", k5, "--t", "-1"], "BadOrder")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and error in err, argv
+
+
 def test_json_output_is_sorted_and_single_line(capsys, graph_path):
     _, out, _ = run_cli(capsys, "rigidity", graph_path)
     line = out.strip()

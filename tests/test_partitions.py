@@ -29,7 +29,12 @@ from genrank.partitions import (
     rho_bruteforce,
     rho_of_partition,
 )
-from genrank.verify import random_family, random_partition
+from genrank.verify import (
+    check_span_cache,
+    check_unique_minimizer,
+    random_family,
+    random_partition,
+)
 
 Q = FieldSpec.rationals()
 FP = FieldSpec.prime(10007)
@@ -100,11 +105,7 @@ def test_span_rank_cache_matches_direct():
     for field in (Q, FP):
         for _ in range(10):
             family = random_family(field, rng.randint(3, 6), rng.randint(1, 6), rng)
-            cache = SpanRankCache(list(family.members))
-            from genrank.linalg import span_dim
-            for mask in range(1 << len(family)):
-                members = [family[i] for i in range(len(family)) if mask >> i & 1]
-                assert cache.rank(mask) == (span_dim(members) if members else 0)
+            assert check_span_cache(list(family.members)) == []
 
 
 def test_span_rank_cache_seed_rows():
@@ -172,16 +173,7 @@ def test_bruteforce_unique_fewest_blocks_minimizer():
         for _ in range(15):
             family = random_family(field, rng.randint(3, 6), rng.randint(1, 5), rng)
             for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
-                result = rho_bruteforce(family, c)
-                values = []
-                for blocks in _set_partitions(len(family)):
-                    pi = Partition.from_blocks(blocks)
-                    values.append((rho_of_partition(family, pi, c), pi))
-                best = min(v for v, _ in values)
-                assert best == result.value
-                fewest = min(p.n_blocks for v, p in values if v == best)
-                winners = [p for v, p in values if v == best and p.n_blocks == fewest]
-                assert winners == [result.partition]
+                assert check_unique_minimizer(family, c) == []
 
 
 def test_restrict_partition():

@@ -8,7 +8,9 @@ import pytest
 
 from genrank.errors import (
     BadOrder,
+    BadTrials,
     BadVertex,
+    CharTooSmall,
     DuplicateEdge,
     LoopEdge,
     TooFewVertices,
@@ -20,16 +22,20 @@ from genrank.rigidity import (
     laman_oracle,
     required_rank,
     rigidity_family,
+    rigidity_randomized_rank,
     rigidity_rank_2d,
     rigidity_report,
     symbolic_rigidity_row,
 )
-from genrank.verify import graphs_up_to_iso, random_graph
+from genrank.verify import (
+    NAMED_GRAPHS,
+    check_named_graph,
+    check_rigidity_pebble,
+    graphs_up_to_iso,
+    random_graph,
+)
 
-K3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+K3, P3, C4, K4 = (graph for _, graph, *_ in NAMED_GRAPHS)
 
 
 def test_graph_validation():
@@ -68,17 +74,9 @@ def test_required_rank():
 
 
 def test_named_reports():
-    for graph, rank2, rigid, dof in (
-        (K3, 3, True, 0),
-        (P3, 2, False, 1),
-        (C4, 4, False, 1),
-        (K4, 5, True, 0),
-    ):
-        report = rigidity_report(graph)
-        assert report.dimension == 2
-        assert report.method == "deterministic"
-        assert (report.rank, report.rigid, report.dof) == (rank2, rigid, dof)
-        assert report.required == 2 * graph.n - 3
+    rng = random.Random(0)
+    for entry in NAMED_GRAPHS:
+        assert check_named_graph(*entry, rng) == []
 
 
 def test_report_input_validation():
@@ -88,6 +86,12 @@ def test_report_input_validation():
         rigidity_report(Graph.from_edges(2, [(0, 1)]), t=2)
     with pytest.raises(TooFewVertices):
         rigidity_report(K3, t=3)
+    for t in (0, -1):
+        with pytest.raises(BadOrder):
+            rigidity_randomized_rank(K4, t)
+    for trials in (0, -2):
+        with pytest.raises(BadTrials):
+            rigidity_report(K4, t=3, trials=trials)
 
 
 def test_k4_three_dimensions_randomized():
@@ -96,6 +100,13 @@ def test_k4_three_dimensions_randomized():
     assert report.rank == 6 and report.rigid and report.dof == 0
     # seeded: the exact same report again
     assert rigidity_report(K4, t=3, seed=0) == report
+
+
+def test_randomized_report_needs_prime_above_edge_count():
+    k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    with pytest.raises(CharTooSmall):
+        rigidity_report(k5, t=3, prime=2)
+    assert rigidity_report(k5, t=3, prime=11).rank == 9
 
 
 def test_symbolic_row():
@@ -129,17 +140,13 @@ def test_graphs_up_to_iso_counts():
 def test_rank_agrees_with_pebble_game_small():
     for n in (2, 3, 4, 5):
         for graph in graphs_up_to_iso(n):
-            deterministic = rigidity_rank_2d(graph)
-            assert (deterministic == 2 * n - 3) == laman_oracle(graph), \
-                f"n={n}, edges={graph.edges}"
+            assert check_rigidity_pebble(graph) == []
 
 
 def test_rank_agrees_with_pebble_game_random():
     rng = random.Random(83)
     for _ in range(20):
-        n = rng.randint(4, 7)
-        graph = random_graph(n, rng)
-        assert (rigidity_rank_2d(graph) == 2 * n - 3) == laman_oracle(graph)
+        assert check_rigidity_pebble(random_graph(rng.randint(4, 7), rng)) == []
 
 
 def test_overbraced_graph_rank_caps():

@@ -15,10 +15,14 @@ from genrank.sfm import (
     SubmodularOracle,
     maximality_closure,
     minimize_exhaustive,
-    minimize_polynomial,
     verify_submodular,
 )
-from genrank.verify import all_minimizing_masks, coverage_oracle, random_family
+from genrank.verify import (
+    check_minimizer_lattice,
+    check_mnp_matches_exhaustive,
+    coverage_oracle,
+    random_family,
+)
 
 
 def modular_oracle(weights):
@@ -50,17 +54,14 @@ def test_modular_minimizer_is_negative_support():
     assert result.value == -3
     assert result.minimizer == frozenset({1, 2, 3})
     assert result.is_maximal
-    wolfe = minimize_polynomial(oracle)
-    assert wolfe.value == result.value
-    assert wolfe.minimizer == result.minimizer
+    assert check_mnp_matches_exhaustive(oracle) == []
 
 
 def test_exhaustive_empty_ground():
     oracle = modular_oracle([])
     result = minimize_exhaustive(oracle)
     assert result.value == 0 and result.minimizer == frozenset()
-    wolfe = minimize_polynomial(oracle)
-    assert wolfe.value == 0 and wolfe.minimizer == frozenset()
+    assert check_mnp_matches_exhaustive(oracle) == []
 
 
 def test_exhaustive_limit():
@@ -109,8 +110,7 @@ def test_closure_can_stall_below_maximal_minimizer():
     stalled = maximality_closure(oracle, frozenset({2}))
     assert stalled == frozenset({1, 2, 4, 5})
     # the min-norm point still reports the true maximal minimizer exactly
-    wolfe = minimize_polynomial(oracle)
-    assert (wolfe.value, wolfe.minimizer) == (exact.value, exact.minimizer)
+    assert check_mnp_matches_exhaustive(oracle) == []
 
 
 def test_verify_submodular():
@@ -124,11 +124,7 @@ def test_verify_submodular():
 def test_wolfe_matches_exhaustive_on_coverage():
     rng = random.Random(101)
     for _ in range(40):
-        oracle = coverage_oracle(rng.randint(1, 9), rng)
-        exact = minimize_exhaustive(oracle)
-        wolfe = minimize_polynomial(oracle)
-        assert wolfe.value == exact.value
-        assert wolfe.minimizer == exact.minimizer
+        assert check_mnp_matches_exhaustive(coverage_oracle(rng.randint(1, 9), rng)) == []
 
 
 def test_wolfe_matches_exhaustive_on_insertion_oracles():
@@ -139,25 +135,10 @@ def test_wolfe_matches_exhaustive_on_insertion_oracles():
             family = random_family(field, ambient, rng.randint(1, 6), rng)
             g = random_family(field, ambient, 1, rng)[0]
             for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
-                oracle = insertion_oracle(family, g, c)
-                exact = minimize_exhaustive(oracle)
-                wolfe = minimize_polynomial(oracle)
-                assert wolfe.value == exact.value
-                assert wolfe.minimizer == exact.minimizer
+                assert check_mnp_matches_exhaustive(insertion_oracle(family, g, c)) == []
 
 
 def test_minimizers_form_a_lattice():
     rng = random.Random(77)
     for _ in range(25):
-        oracle = coverage_oracle(rng.randint(2, 6), rng)
-        _, masks = all_minimizing_masks(oracle)
-        mask_set = set(masks)
-        for a in masks:
-            for b in masks:
-                assert (a | b) in mask_set
-                assert (a & b) in mask_set
-        union = 0
-        for m in masks:
-            union |= m
-        assert minimize_exhaustive(oracle).minimizer == frozenset(
-            i for i in range(oracle.n) if union >> i & 1)
+        assert check_minimizer_lattice(coverage_oracle(rng.randint(2, 6), rng)) == []

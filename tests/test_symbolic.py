@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from genrank.errors import BadOrder, BadScalar, CharTooSmall, DimensionMismatch, DimTooSmall
-from genrank.fields import DEFAULT_PRIME, FieldSpec
-from genrank.linalg import Matrix, rank, sample_vector, subspace_from_rows
+from genrank.errors import (
+    BadOrder,
+    BadScalar,
+    BadTrials,
+    CharTooSmall,
+    DimensionMismatch,
+    DimTooSmall,
+)
+from genrank.fields import FieldSpec
+from genrank.linalg import Matrix, sample_vector, subspace_from_rows
 from genrank.partitions import SubspaceFamily
 from genrank.symbolic import (
     R2Instance,
@@ -24,12 +30,14 @@ from genrank.symbolic import (
     r2_to_prime,
     randomized_rank,
     rk_family,
-    rk_rank,
     rk_to_prime,
     split_to_planes,
 )
 from genrank.verify import (
-    hyperplane_intersection_dim,
+    check_split_to_planes,
+    check_symbolic_rank,
+    intersection_dim,
+    permutation_contraction,
     random_family,
     random_r2_instance,
     random_rk_instance,
@@ -40,35 +48,6 @@ Q = FieldSpec.rationals()
 
 def fr(*values):
     return tuple(Fraction(v) for v in values)
-
-
-def perm_sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
-
-
-def permutation_contraction(inst, points):
-    """Reference contraction: antisymmetrize entrywise, then contract."""
-    k, n, fld = inst.order, inst.ambient_dim, inst.field
-    rows = []
-    for factors in inst.tensors:
-        row = [fld.zero()] * n
-        for idx in itertools.product(range(n), repeat=k):
-            entry = fld.zero()
-            for sigma in itertools.permutations(range(k)):
-                term = fld.one()
-                for r in range(k):
-                    term = fld.mul(term, factors[sigma[r]][idx[r]])
-                entry = fld.add(entry, term if perm_sign(sigma) > 0 else fld.neg(term))
-            for r in range(k - 1):
-                entry = fld.mul(entry, points[r][idx[r]])
-            row[idx[-1]] = fld.add(row[idx[-1]], entry)
-        rows.append(tuple(row))
-    return Matrix(fld, tuple(rows), n)
 
 
 def test_instance_validation():
@@ -147,12 +126,7 @@ def test_r2_rank_matches_randomized():
     for _ in range(15):
         ambient = rng.randint(3, 6)
         inst = random_r2_instance(Q, ambient, rng.randint(0, 6), rng)
-        prime_inst = r2_to_prime(inst, DEFAULT_PRIME)
-        randomized = randomized_rank(
-            lambda r: evaluate_r2_matrix(
-                prime_inst, sample_vector(prime_inst.field, ambient, r)),
-            prime_inst.field, trials=3, rng=rng)
-        assert r2_rank(inst) == randomized
+        assert check_symbolic_rank(inst, 3, rng) == []
 
 
 def test_rk_family_drops_dependent_tensors():
@@ -193,12 +167,7 @@ def test_rk_rank_matches_randomized():
     for _ in range(8):
         n = rng.randint(4, 6)
         inst = random_rk_instance(Q, n, 3, rng.randint(0, 4), rng)
-        prime_inst = rk_to_prime(inst, DEFAULT_PRIME)
-        randomized = randomized_rank(
-            lambda r: evaluate_rk_matrix(
-                prime_inst, [sample_vector(prime_inst.field, n, r) for _ in range(2)]),
-            prime_inst.field, trials=3, rng=rng)
-        assert rk_rank(inst) == randomized
+        assert check_symbolic_rank(inst, 3, rng) == []
 
 
 def test_evaluate_rk_point_count():
@@ -250,7 +219,7 @@ def test_intersection_identity_small():
     lines = tuple(subspace_from_rows(Q, 3, [fr(*c)])
                   for c in ([1, 0, 0], [0, 1, 0], [1, 1, 0]))
     family = SubspaceFamily(Q, 3, lines)
-    assert hyperplane_intersection_dim(family, fr(1, 2, 3)) == 0
+    assert intersection_dim(family, Matrix.from_rows(Q, [fr(1, 2, 3)], 3)) == 0
 
 
 def test_randomized_rank_needs_big_prime():
@@ -260,6 +229,13 @@ def test_randomized_rank_needs_big_prime():
     evaluate = lambda r: Matrix.from_rows(tiny, [(1,), (1,), (1,)], 1)
     with pytest.raises(CharTooSmall):
         randomized_rank(evaluate, tiny)
+
+
+def test_randomized_rank_needs_a_trial():
+    fp = FieldSpec.prime(10007)
+    for trials in (0, -2):
+        with pytest.raises(BadTrials):
+            randomized_rank(lambda r: Matrix.from_rows(fp, [(1,)], 1), fp, trials=trials)
 
 
 def test_randomized_rank_deterministic_for_seed():
@@ -285,13 +261,10 @@ def test_split_to_planes():
 
 
 def test_split_to_planes_preserves_rho1():
-    from genrank.engine import rho
-
     rng = random.Random(71)
     for _ in range(10):
         family = random_family(Q, rng.randint(4, 6), rng.randint(1, 4), rng, min_dim=2)
-        planes = split_to_planes(family)
-        assert rho(planes, 1).value == rho(family, 1).value
+        assert check_split_to_planes(family) == []
 
 
 def test_field_transport():
