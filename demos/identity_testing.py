@@ -1,8 +1,8 @@
 """Deterministic rank of structured symbolic matrices, without randomness.
 
-A row of an R2 instance is the symbolic vector (u.x) v - (v.x) u; an Rk
-instance generalizes to antisymmetrized rank-one k-tensors contracted with
-k-1 symbolic points.  The generic rank of such a matrix equals a partition
+An order-k instance antisymmetrizes rank-one k-tensors and contracts them
+with k-1 symbolic points; at k = 2 a pair (u, v) gives the row
+(u.x) v - (v.x) u.  The generic rank of such a matrix equals a partition
 rank of the family of spans, so it can be computed exactly instead of by
 plugging in random points.  This script does both and compares.
 
@@ -16,11 +16,8 @@ import random
 from genrank import (
     DEFAULT_PRIME,
     FieldSpec,
-    R2Instance,
     RkInstance,
-    r2_family,
-    r2_randomized_rank,
-    r2_rank,
+    rk_family,
     rk_randomized_rank,
     rk_rank,
     split_to_planes,
@@ -34,20 +31,20 @@ def main():
     # Four pairs in K^3.  The first three live in the same plane z=0, so
     # their evaluated rows are forced into a single line inside that plane:
     # three rows, but only one dimension of generic content.
-    inst = R2Instance(Q, 3, (
+    inst = RkInstance(Q, 3, 2, (
         ((1, 0, 0), (0, 1, 0)),
         ((1, 1, 0), (1, 2, 0)),
         ((2, 1, 0), (0, 3, 0)),
         ((0, 0, 1), (1, 0, 0)),
     ))
-    family, dropped = r2_family(inst)
-    det = r2_rank(inst)
-    print(f"R2 instance: {len(inst.rows)} rows, {len(family)} nondegenerate, "
+    family, dropped = rk_family(inst)
+    det = rk_rank(inst)
+    print(f"R2 instance: {len(inst.tensors)} rows, {len(family)} nondegenerate, "
           f"dropped {dropped or 'none'}")
     print(f"deterministic generic rank: {det}")
 
     # Cross-check by actually evaluating at random points mod a large prime.
-    rand = r2_randomized_rank(inst, DEFAULT_PRIME, trials=5, rng=random.Random(7))
+    rand = rk_randomized_rank(inst, DEFAULT_PRIME, trials=5, rng=random.Random(7))
     print(f"randomized evaluation rank:  {rand}")
     assert det == rand
 
@@ -68,7 +65,7 @@ def main():
     assert det_k == rand_k
 
     # Any family can be split into planes without changing its c=1 value,
-    # which is how higher-dimensional members reduce to the R2 shape.
+    # which is how higher-dimensional members reduce to the order-2 shape.
     planes = split_to_planes(family)
     print(f"\nsplit_to_planes: {len(family)} members -> {len(planes)} planes, "
           f"rho_1 {rho(family, 1).value} -> {rho(planes, 1).value}")

@@ -4,9 +4,9 @@ The core quantity is rho_c(F): the minimum over partitions of a family of
 subspaces of the blockwise span dimensions, each discounted by c.  It is
 computed exactly (rational or prime-field arithmetic throughout) by folding
 members into a growing compressed family, one submodular minimization per
-insertion.  On top of it sit deterministic rank computation for two classes
-of symbolic matrices, explicit bases for subspace-hyperplane intersections,
-and two-dimensional generic graph rigidity.
+insertion.  On top of it sit deterministic rank computation for order-k
+symbolic matrices, explicit bases for subspace-hyperplane intersections, and
+two-dimensional generic graph rigidity.
 """
 
 from .engine import EngineState, empty_state, insert_subspace, insertion_oracle, rho
@@ -54,16 +54,10 @@ from .sfm import (
 )
 from .symbolic import (
     IntersectionBasis,
-    R2Instance,
     RkInstance,
-    evaluate_r2_matrix,
     evaluate_rk_matrix,
     intersect_with_codim_k,
     intersect_with_hyperplane,
-    r2_family,
-    r2_randomized_rank,
-    r2_rank,
-    r2_to_prime,
     randomized_rank,
     rk_family,
     rk_randomized_rank,
@@ -86,7 +80,6 @@ __all__ = [
     "Matrix",
     "MinimizerResult",
     "Partition",
-    "R2Instance",
     "RhoResult",
     "RigidityReport",
     "RkInstance",
@@ -95,7 +88,6 @@ __all__ = [
     "SubspaceFamily",
     "edge_subspace",
     "empty_state",
-    "evaluate_r2_matrix",
     "evaluate_rk_matrix",
     "hat_family",
     "insert_subspace",
@@ -108,10 +100,6 @@ __all__ = [
     "maximality_closure",
     "minimize_exhaustive",
     "minimize_polynomial",
-    "r2_family",
-    "r2_randomized_rank",
-    "r2_rank",
-    "r2_to_prime",
     "randomized_rank",
     "rank",
     "required_rank",

@@ -69,14 +69,6 @@ class FieldSpec:
     def prime(cls, p: int) -> "FieldSpec":
         return cls(p)
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
-    @property
-    def char(self) -> int:
-        return 0 if self.p is None else self.p
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.p == other.p
 
@@ -113,9 +105,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a if self.p is None else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     # -- text forms ------------------------------------------------------
     # Integers as decimal strings, rationals as "a/b" with b > 0,

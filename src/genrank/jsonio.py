@@ -13,6 +13,7 @@ from typing import Any
 
 from .errors import (
     AllRowsZero,
+    BadOrder,
     BadScalar,
     InputError,
     UnknownField,
@@ -22,7 +23,7 @@ from .fields import FieldSpec
 from .linalg import subspace_from_rows
 from .partitions import Partition, SubspaceFamily
 from .rigidity import Graph
-from .symbolic import R2Instance, RkInstance
+from .symbolic import RkInstance
 
 
 def load_json(path: str) -> Any:
@@ -71,6 +72,13 @@ def _field_of(doc: Any, where: str, override: FieldSpec | None) -> FieldSpec:
     return parse_field(_require(doc, "field", where))
 
 
+def _list_of(doc: Any, key: str, where: str) -> list:
+    raw = _require(doc, key, where)
+    if not isinstance(raw, list):
+        raise InputError(f"{where}: \"{key}\" must be a list")
+    return raw
+
+
 def _ambient_of(doc: Any, key: str, where: str) -> int:
     d = _require(doc, key, where)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
@@ -82,11 +90,8 @@ def load_family(doc: Any, override: FieldSpec | None = None) -> SubspaceFamily:
     where = "family"
     field = _field_of(doc, where, override)
     d = _ambient_of(doc, "ambient_dim", where)
-    raw = _require(doc, "subspaces", where)
-    if not isinstance(raw, list):
-        raise InputError(f"{where}: \"subspaces\" must be a list")
     members = []
-    for i, rows in enumerate(raw):
+    for i, rows in enumerate(_list_of(doc, "subspaces", where)):
         if not isinstance(rows, list) or not rows:
             raise InputError(f"{where}: subspace {i} must be a nonempty list of rows")
         parsed = [_parse_vector(field, row, d, f"subspace {i} row {r}")
@@ -98,38 +103,36 @@ def load_family(doc: Any, override: FieldSpec | None = None) -> SubspaceFamily:
     return SubspaceFamily(field, d, tuple(members))
 
 
-def load_r2(doc: Any, override: FieldSpec | None = None) -> R2Instance:
+def load_r2(doc: Any, override: FieldSpec | None = None) -> RkInstance:
+    """A `rows` document of pairs {"u", "v"}, read as the order-2 tensors (u, v)."""
     where = "r2 instance"
     field = _field_of(doc, where, override)
     d = _ambient_of(doc, "ambient_dim", where)
-    raw = _require(doc, "rows", where)
-    if not isinstance(raw, list):
-        raise InputError(f"{where}: \"rows\" must be a list")
     rows = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_list_of(doc, "rows", where)):
         u = _parse_vector(field, _require(entry, "u", f"row {i}"), d, f"row {i} u")
         v = _parse_vector(field, _require(entry, "v", f"row {i}"), d, f"row {i} v")
         rows.append((u, v))
-    return R2Instance(field, d, tuple(rows))
+    return RkInstance(field, d, 2, tuple(rows))
 
 
 def load_rk(doc: Any, override: FieldSpec | None = None) -> RkInstance:
+    """A `tensors` document of k factors each; its order must satisfy 2 <= k < ambient_dim."""
     where = "rk instance"
     field = _field_of(doc, where, override)
     n = _ambient_of(doc, "ambient_dim", where)
     k = _require(doc, "k", where)
     if not isinstance(k, int) or isinstance(k, bool):
         raise InputError(f"{where}: \"k\" must be an integer")
-    raw = _require(doc, "tensors", where)
-    if not isinstance(raw, list):
-        raise InputError(f"{where}: \"tensors\" must be a list")
     tensors = []
-    for i, factors in enumerate(raw):
+    for i, factors in enumerate(_list_of(doc, "tensors", where)):
         if not isinstance(factors, list) or len(factors) != k:
             raise InputError(f"{where}: tensor {i} must list exactly k = {k} factors")
         tensors.append(tuple(
             _parse_vector(field, a, n, f"tensor {i} factor {j}")
             for j, a in enumerate(factors)))
+    if not 2 <= k < n:
+        raise BadOrder(f"order {k} outside 2 <= k < ambient {n}")
     return RkInstance(field, n, k, tuple(tensors))
 
 
@@ -138,11 +141,8 @@ def load_graph(doc: Any) -> Graph:
     n = _require(doc, "n", where)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise InputError(f"{where}: \"n\" must be a nonnegative integer")
-    raw = _require(doc, "edges", where)
-    if not isinstance(raw, list):
-        raise InputError(f"{where}: \"edges\" must be a list")
     edges = []
-    for i, e in enumerate(raw):
+    for i, e in enumerate(_list_of(doc, "edges", where)):
         if not isinstance(e, list) or len(e) != 2 or not all(
                 isinstance(x, int) and not isinstance(x, bool) for x in e):
             raise InputError(f"{where}: edge {i} must be a pair of vertex indices")

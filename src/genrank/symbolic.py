@@ -1,9 +1,12 @@
-"""Deterministic rank of two families of symbolic matrices.
+"""Deterministic rank of order-k symbolic matrices.
 
-An order-2 instance has rows (u.x)v - (v.x)u built from vector pairs; an
-order-k instance antisymmetrizes rank-one k-tensors and contracts them with
-k-1 vectors of variables.  In both cases the generic rank equals a partition
-rank of the spanned subspaces: parameter 1 for pairs, k-1 for k-tensors.
+An order-k instance antisymmetrizes rank-one k-tensors and contracts them
+with k-1 vectors of variables; its generic rank equals the partition rank of
+the spanned subspaces at parameter k-1.  Order 2 is the same instance with
+k = 2: a pair (u, v) gives the row (u.x)v - (v.x)u, and `jsonio.load_r2`
+reads a `rows` document as order-2 tensors.  Any order k >= 2 is accepted
+here, also k >= ambient_dim (every member is then all of K^d or dropped);
+`jsonio.load_rk` alone requires k < ambient_dim of a `tensors` document.
 
 The module also builds explicit bases of subspace-hyperplane intersections
 without solving linear systems (cross-product style combinations with signed
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from .engine import rho
@@ -46,20 +50,6 @@ from .partitions import SubspaceFamily
 
 
 @dataclass(frozen=True)
-class R2Instance:
-    """Rows indexed by vector pairs (u, v) in one ambient space."""
-
-    field: FieldSpec
-    ambient_dim: int
-    rows: tuple[tuple[tuple, tuple], ...]
-
-    def __post_init__(self):
-        for i, (u, v) in enumerate(self.rows):
-            if len(u) != self.ambient_dim or len(v) != self.ambient_dim:
-                raise DimensionMismatch(f"row {i} has vectors of the wrong length")
-
-
-@dataclass(frozen=True)
 class RkInstance:
     """Rank-one k-tensors given by their k factor vectors."""
 
@@ -69,9 +59,8 @@ class RkInstance:
     tensors: tuple[tuple[tuple, ...], ...]
 
     def __post_init__(self):
-        if not 2 <= self.order < self.ambient_dim:
-            raise BadOrder(
-                f"order {self.order} outside 2 <= k < ambient {self.ambient_dim}")
+        if self.order < 2:
+            raise BadOrder(f"order {self.order} is below 2")
         for i, factors in enumerate(self.tensors):
             if len(factors) != self.order:
                 raise DimensionMismatch(f"tensor {i} has {len(factors)} factors")
@@ -93,43 +82,6 @@ class IntersectionBasis:
         if not self.vectors:
             return zero_subspace(self.subspace.field, self.subspace.ambient_dim)
         return subspace_from_rows(self.subspace.field, self.subspace.ambient_dim, self.vectors)
-
-
-def _pair_span(field: FieldSpec, ambient_dim: int, u: Sequence, v: Sequence) -> Subspace | None:
-    """Span of {u, v} if 2-dimensional, else None (degenerate row)."""
-    stacked = Matrix.from_rows(field, [tuple(u), tuple(v)], ambient_dim)
-    reduced, rk = rref(stacked)
-    if rk < 2:
-        return None
-    return Subspace(ambient_dim, reduced)
-
-
-def r2_family(inst: R2Instance) -> tuple[SubspaceFamily, list[int]]:
-    """Spans of the row pairs; rows with dependent (u, v) are dropped and listed.
-
-    A dependent pair makes the symbolic row identically zero, so dropping it
-    never changes the rank.
-    """
-    members = []
-    dropped = []
-    for i, (u, v) in enumerate(inst.rows):
-        span = _pair_span(inst.field, inst.ambient_dim, u, v)
-        if span is None:
-            dropped.append(i)
-        else:
-            members.append(span)
-    return SubspaceFamily(inst.field, inst.ambient_dim, tuple(members)), dropped
-
-
-def r2_rank_and_dropped(inst: R2Instance, backend: str | None = None) -> tuple[int, list[int]]:
-    """r2_rank together with r2_family's dropped rows, from one family build."""
-    family, dropped = r2_family(inst)
-    return int(rho(family, 1, backend=backend).value), dropped
-
-
-def r2_rank(inst: R2Instance, backend: str | None = None) -> int:
-    """Generic rank of the order-2 symbolic matrix: the partition rank at c=1."""
-    return r2_rank_and_dropped(inst, backend)[0]
 
 
 def rk_family(inst: RkInstance) -> tuple[SubspaceFamily, list[int]]:
@@ -264,20 +216,6 @@ def _verify_intersection(result: IntersectionBasis, exact: Subspace):
         raise InternalInvariantError("signed-minor basis does not span the exact intersection")
 
 
-def evaluate_r2_matrix(inst: R2Instance, x: Sequence) -> Matrix:
-    """Evaluate the symbolic rows at the point x: row_i = (u_i.x) v_i - (v_i.x) u_i."""
-    if len(x) != inst.ambient_dim:
-        raise DimensionMismatch("evaluation point has the wrong length")
-    fld = inst.field
-    rows = []
-    for u, v in inst.rows:
-        ux = dot(fld, u, x)
-        vx = dot(fld, v, x)
-        rows.append(tuple(
-            fld.sub(fld.mul(ux, b), fld.mul(vx, a)) for a, b in zip(u, v)))
-    return Matrix(fld, tuple(rows), inst.ambient_dim)
-
-
 def evaluate_rk_matrix(inst: RkInstance, points: Sequence[Sequence]) -> Matrix:
     """Contract each antisymmetrized tensor with k-1 points.
 
@@ -290,25 +228,25 @@ def evaluate_rk_matrix(inst: RkInstance, points: Sequence[Sequence]) -> Matrix:
     k = inst.order
     if len(points) != k - 1:
         raise DimensionMismatch(f"need {k - 1} evaluation points, got {len(points)}")
-    for p in points:
-        if len(p) != inst.ambient_dim:
+    for x in points:
+        if len(x) != inst.ambient_dim:
             raise DimensionMismatch("evaluation point has the wrong length")
     fld = inst.field
+    p = fld.p
     rows = []
+    # Plain + and * on the scalars, reduced mod p once per dot and once per row entry.
     for factors in inst.tensors:
-        b = [[dot(fld, p, a) for a in factors] for p in points]
+        b = [[sum(map(mul, x, a)) for a in factors] for x in points]
+        if p is not None:
+            b = [[v % p for v in brow] for brow in b]
         row = [fld.zero()] * inst.ambient_dim
-        for j in range(k):
-            minor = [[brow[t] for t in range(k) if t != j] for brow in b]
-            coeff = determinant(fld, minor)
-            if (k + j + 1) % 2 == 1:
-                coeff = fld.neg(coeff)
+        for j, a in enumerate(factors):
+            coeff = determinant(fld, [brow[:j] + brow[j + 1:] for brow in b])
             if coeff != 0:
-                a = factors[j]
-                for t in range(inst.ambient_dim):
-                    if a[t] != 0:
-                        row[t] = fld.add(row[t], fld.mul(coeff, a[t]))
-        rows.append(tuple(row))
+                if (k + j) % 2 == 0:
+                    coeff = -coeff
+                row = [r + coeff * t for r, t in zip(row, a)]
+        rows.append(tuple(row) if p is None else tuple(r % p for r in row))
     return Matrix(fld, tuple(rows), inst.ambient_dim)
 
 
@@ -334,16 +272,6 @@ def randomized_rank(evaluate: Callable[[random.Random], Matrix], field: FieldSpe
                 f"characteristic {field.p} is not above the row count {matrix.nrows}")
         best = max(best, rank(matrix))
     return best
-
-
-def r2_randomized_rank(inst: R2Instance, prime: int = DEFAULT_PRIME, trials: int = 5,
-                       rng: random.Random | None = None) -> int:
-    """randomized_rank of the order-2 matrix at random points; Q moves to F_prime."""
-    if inst.field.p is None:
-        inst = r2_to_prime(inst, prime)
-    return randomized_rank(
-        lambda r: evaluate_r2_matrix(inst, sample_vector(inst.field, inst.ambient_dim, r)),
-        inst.field, trials, rng)
 
 
 def rk_randomized_rank(inst: RkInstance, prime: int = DEFAULT_PRIME, trials: int = 5,
@@ -377,18 +305,8 @@ def split_to_planes(family: SubspaceFamily) -> SubspaceFamily:
 
 # -- field transport ---------------------------------------------------------
 
-def r2_to_prime(inst: R2Instance, p: int) -> R2Instance:
-    """Reinterpret a rational instance over F_p (exact where denominators allow)."""
-    target = FieldSpec.prime(p)
-    rows = tuple(
-        (tuple(target.convert_from_rational(a) for a in u),
-         tuple(target.convert_from_rational(a) for a in v))
-        for u, v in inst.rows
-    )
-    return R2Instance(target, inst.ambient_dim, rows)
-
-
 def rk_to_prime(inst: RkInstance, p: int) -> RkInstance:
+    """Reinterpret a rational instance over F_p (exact where denominators allow)."""
     target = FieldSpec.prime(p)
     tensors = tuple(
         tuple(tuple(target.convert_from_rational(a) for a in factor) for factor in factors)

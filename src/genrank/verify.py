@@ -58,12 +58,9 @@ from .sfm import (
 )
 from .symbolic import (
     IntersectionBasis,
-    R2Instance,
     RkInstance,
     intersect_with_codim_k,
     intersect_with_hyperplane,
-    r2_randomized_rank,
-    r2_rank,
     rk_randomized_rank,
     rk_rank,
     split_to_planes,
@@ -158,15 +155,6 @@ def graphs_up_to_iso(n: int) -> list[Graph]:
             seen.add(image)
     return [Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
             for mask in reps]
-
-
-def random_r2_instance(field: FieldSpec, ambient_dim: int, n_rows: int,
-                       rng: random.Random, bound: int = 5) -> R2Instance:
-    rows = tuple(
-        (sample_vector(field, ambient_dim, rng, bound),
-         sample_vector(field, ambient_dim, rng, bound))
-        for _ in range(n_rows))
-    return R2Instance(field, ambient_dim, rows)
 
 
 def random_rk_instance(field: FieldSpec, ambient_dim: int, order: int, n_tensors: int,
@@ -366,17 +354,12 @@ def check_named_graph(name: str, graph: Graph, expect_rank: int, expect_rigid: b
         (randomized == expect_rank, f"{name}: randomized rank {randomized}"))
 
 
-def check_symbolic_rank(inst: R2Instance | RkInstance, trials: int,
-                        rng: random.Random) -> list[str]:
-    """Deterministic r2/rk rank == randomized evaluation rank over F_(2^61-1)."""
-    if isinstance(inst, R2Instance):
-        kind, deterministic = "r2", r2_rank(inst)
-        randomized = r2_randomized_rank(inst, DEFAULT_PRIME, trials, rng)
-    else:
-        kind, deterministic = "rk", rk_rank(inst)
-        randomized = rk_randomized_rank(inst, DEFAULT_PRIME, trials, rng)
+def check_symbolic_rank(inst: RkInstance, trials: int, rng: random.Random) -> list[str]:
+    """Deterministic order-k rank == randomized evaluation rank over F_(2^61-1)."""
+    deterministic = rk_rank(inst)
+    randomized = rk_randomized_rank(inst, DEFAULT_PRIME, trials, rng)
     return _failed((deterministic == randomized,
-                    f"{kind} deterministic {deterministic} != randomized {randomized}"))
+                    f"order {inst.order}: deterministic {deterministic} != randomized {randomized}"))
 
 
 def check_w_basis(basis: IntersectionBasis) -> list[str]:
@@ -605,7 +588,7 @@ def suite_symbolic(seed: int) -> list[str]:
     rational, small_prime = SAMPLE_FIELDS
     for trial in range(8):
         ambient = rng.randint(3, 6)
-        inst = random_r2_instance(rational, ambient, rng.randint(1, 6), rng)
+        inst = random_rk_instance(rational, ambient, 2, rng.randint(1, 6), rng)
         check.extend(check_symbolic_rank(inst, 3, rng), f"trial {trial}")
     for trial in range(4):
         ambient = rng.randint(4, 6)

@@ -43,7 +43,6 @@ from genrank.verify import (
     intersection_dim,
     permutation_contraction,
     random_family,
-    random_r2_instance,
     random_rk_instance,
     random_subspace,
 )
@@ -124,7 +123,7 @@ def test_04_pit_r2_agreement():
     rng = random.Random(20044)
     for idx in range(100):
         ambient = rng.randint(2, 10)
-        inst = random_r2_instance(FieldSpec.rationals(), ambient, rng.randint(1, 12), rng)
+        inst = random_rk_instance(FieldSpec.rationals(), ambient, 2, rng.randint(1, 12), rng)
         failures += _at(f"instance {idx}", check_symbolic_rank(inst, 5, rng))
     _report("criterion-04 PIT r2 agreement", failures,
             "100/100 instances: deterministic == randomized", start)

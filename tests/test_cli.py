@@ -112,10 +112,8 @@ def test_pit_builds_the_family_once(capsys, tmp_path, monkeypatch):
     import genrank.symbolic as symbolic
 
     calls = []
-    for name in ("r2_family", "rk_family"):
-        original = getattr(symbolic, name)
-        monkeypatch.setattr(symbolic, name,
-                            lambda inst, _f=original: calls.append(inst) or _f(inst))
+    original = symbolic.rk_family
+    monkeypatch.setattr(symbolic, "rk_family", lambda inst: calls.append(inst) or original(inst))
     r2 = write(tmp_path, "r2.json", {
         "field": "q", "ambient_dim": 3,
         "rows": [{"u": [1, 0, 0], "v": [0, 1, 0]}, {"u": [1, 0, 0], "v": [2, 0, 0]}],
@@ -152,6 +150,31 @@ def test_rand_rank_r2(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rand-rank", path)
     assert code == 0
     assert json.loads(out) == {"rank": 1, "trials": 5, "prime": DEFAULT_PRIME}
+
+
+def test_row_documents_below_ambient_dim_3(capsys, tmp_path):
+    plane = write(tmp_path, "d2.json", {
+        "field": "q", "ambient_dim": 2, "rows": [{"u": [1, 0], "v": [0, 1]}],
+    })
+    line = write(tmp_path, "d1.json", {
+        "field": "q", "ambient_dim": 1, "rows": [{"u": [1], "v": [2]}],
+    })
+    for path, rank, dropped in ((plane, 1, []), (line, 0, [0])):
+        code, out, _ = run_cli(capsys, "pit-r2", path)
+        assert (code, json.loads(out)) == (0, {"rank": rank, "dropped_rows": dropped})
+        code, out, _ = run_cli(capsys, "rand-rank", path)
+        assert (code, json.loads(out)) == (0, {"rank": rank, "trials": 5, "prime": DEFAULT_PRIME})
+
+
+def test_tensor_order_must_be_below_ambient_dim(capsys, tmp_path):
+    path = write(tmp_path, "rk.json", {
+        "field": "q", "ambient_dim": 3, "k": 3,
+        "tensors": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    })
+    for command in ("pit-rk", "rand-rank"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (1, "")
+        assert err == "error: BadOrder: order 3 outside 2 <= k < ambient 3\n"
 
 
 def test_rand_rank_graph(capsys, graph_path):

@@ -76,7 +76,7 @@ def test_load_r2():
            "rows": [{"u": [1, 0], "v": [0, 1]}]}
     inst = load_r2(doc)
     assert inst.field.p == 10007
-    assert inst.rows == (((1, 0), (0, 1)),)
+    assert inst.order == 2 and inst.tensors == (((1, 0), (0, 1)),)
     with pytest.raises(InputError):
         load_r2({"field": "q", "ambient_dim": 2, "rows": [{"u": [1, 0]}]})
 

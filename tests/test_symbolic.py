@@ -16,20 +16,17 @@ from genrank.errors import (
     DimTooSmall,
 )
 from genrank.fields import FieldSpec
+from genrank.jsonio import load_rk
 from genrank.linalg import Matrix, sample_vector, subspace_from_rows
 from genrank.partitions import SubspaceFamily
 from genrank.symbolic import (
-    R2Instance,
     RkInstance,
-    evaluate_r2_matrix,
     evaluate_rk_matrix,
     intersect_with_codim_k,
     intersect_with_hyperplane,
-    r2_family,
-    r2_rank,
-    r2_to_prime,
     randomized_rank,
     rk_family,
+    rk_rank,
     rk_to_prime,
     split_to_planes,
 )
@@ -39,7 +36,6 @@ from genrank.verify import (
     intersection_dim,
     permutation_contraction,
     random_family,
-    random_r2_instance,
     random_rk_instance,
 )
 
@@ -52,11 +48,11 @@ def fr(*values):
 
 def test_instance_validation():
     with pytest.raises(DimensionMismatch):
-        R2Instance(Q, 3, ((fr(1, 0), fr(0, 1)),))
+        RkInstance(Q, 3, 2, ((fr(1, 0), fr(0, 1)),))
     with pytest.raises(BadOrder):
         RkInstance(Q, 3, 1, ())
     with pytest.raises(BadOrder):
-        RkInstance(Q, 3, 3, ())
+        load_rk({"field": "q", "ambient_dim": 3, "k": 3, "tensors": []})
     with pytest.raises(DimensionMismatch):
         RkInstance(Q, 4, 3, ((fr(1, 0, 0, 0), fr(0, 1, 0, 0)),))
     with pytest.raises(DimensionMismatch):
@@ -64,11 +60,11 @@ def test_instance_validation():
 
 
 def test_evaluate_r2_frozen():
-    inst = R2Instance(Q, 2, ((fr(1, 0), fr(0, 1)),))
-    m = evaluate_r2_matrix(inst, fr(5, 7))
+    inst = RkInstance(Q, 2, 2, ((fr(1, 0), fr(0, 1)),))
+    m = evaluate_rk_matrix(inst, [fr(5, 7)])
     assert m.rows == ((Fraction(-7), Fraction(5)),)
     # x in the span of {u, v} along u kills the u component only
-    m = evaluate_r2_matrix(inst, fr(1, 0))
+    m = evaluate_rk_matrix(inst, [fr(1, 0)])
     assert m.rows == ((Fraction(0), Fraction(1)),)
 
 
@@ -79,53 +75,53 @@ def test_evaluate_r2_row_is_skew_pencil_action():
         u = sample_vector(Q, 4, rng)
         v = sample_vector(Q, 4, rng)
         x = sample_vector(Q, 4, rng)
-        inst = R2Instance(Q, 4, ((u, v),))
-        row = evaluate_r2_matrix(inst, x).rows[0]
+        inst = RkInstance(Q, 4, 2, ((u, v),))
+        row = evaluate_rk_matrix(inst, [x]).rows[0]
         skew = [[u[a] * v[b] - v[a] * u[b] for b in range(4)] for a in range(4)]
         direct = tuple(sum(x[a] * skew[a][b] for a in range(4)) for b in range(4))
         assert row == direct
 
 
 def test_r2_family_drops_dependent_pairs():
-    inst = R2Instance(Q, 3, (
+    inst = RkInstance(Q, 3, 2, (
         (fr(1, 0, 0), fr(0, 1, 0)),
         (fr(2, 0, 0), fr(4, 0, 0)),
         (fr(0, 0, 1), fr(0, 0, 3)),
         (fr(1, 1, 0), fr(0, 1, 1)),
     ))
-    family, dropped = r2_family(inst)
+    family, dropped = rk_family(inst)
     assert dropped == [1, 2]
     assert len(family) == 2
     assert all(f.dim == 2 for f in family)
 
 
 def test_r2_rank_single_and_zero():
-    assert r2_rank(R2Instance(Q, 3, ())) == 0
-    assert r2_rank(R2Instance(Q, 3, ((fr(1, 0, 0), fr(2, 0, 0)),))) == 0
-    assert r2_rank(R2Instance(Q, 3, ((fr(1, 0, 0), fr(0, 1, 0)),))) == 1
+    assert rk_rank(RkInstance(Q, 3, 2, ())) == 0
+    assert rk_rank(RkInstance(Q, 3, 2, ((fr(1, 0, 0), fr(2, 0, 0)),))) == 0
+    assert rk_rank(RkInstance(Q, 3, 2, ((fr(1, 0, 0), fr(0, 1, 0)),))) == 1
 
 
 def test_r2_rank_shared_plane_collapses():
     # rows from one shared plane P all land in the line P meet x-perp: rank 1
-    inst = R2Instance(Q, 4, (
+    inst = RkInstance(Q, 4, 2, (
         (fr(1, 0, 0, 0), fr(0, 1, 0, 0)),
         (fr(1, 1, 0, 0), fr(1, -1, 0, 0)),
         (fr(2, 1, 0, 0), fr(0, 3, 0, 0)),
     ))
-    assert r2_rank(inst) == 1
+    assert rk_rank(inst) == 1
     # two transversal planes stay independent: one symbolic row each
-    inst = R2Instance(Q, 4, (
+    inst = RkInstance(Q, 4, 2, (
         (fr(1, 0, 0, 0), fr(0, 1, 0, 0)),
         (fr(0, 0, 1, 0), fr(0, 0, 0, 1)),
     ))
-    assert r2_rank(inst) == 2
+    assert rk_rank(inst) == 2
 
 
 def test_r2_rank_matches_randomized():
     rng = random.Random(29)
     for _ in range(15):
         ambient = rng.randint(3, 6)
-        inst = random_r2_instance(Q, ambient, rng.randint(0, 6), rng)
+        inst = random_rk_instance(Q, ambient, 2, rng.randint(0, 6), rng)
         assert check_symbolic_rank(inst, 3, rng) == []
 
 
@@ -150,24 +146,19 @@ def test_evaluate_rk_matches_permutation_contraction():
                 permutation_contraction(inst, points)
 
 
-def test_evaluate_rk_k2_agrees_with_r2():
-    rng = random.Random(60)
-    for _ in range(6):
-        n = rng.randint(3, 5)
-        pairs = tuple((sample_vector(Q, n, rng), sample_vector(Q, n, rng))
-                      for _ in range(rng.randint(1, 3)))
-        x = sample_vector(Q, n, rng)
-        rk_m = evaluate_rk_matrix(RkInstance(Q, n, 2, pairs), [x])
-        r2_m = evaluate_r2_matrix(R2Instance(Q, n, pairs), x)
-        assert rk_m == r2_m
-
-
 def test_rk_rank_matches_randomized():
     rng = random.Random(61)
     for _ in range(8):
         n = rng.randint(4, 6)
         inst = random_rk_instance(Q, n, 3, rng.randint(0, 4), rng)
         assert check_symbolic_rank(inst, 3, rng) == []
+    # k = d: every member is all of K^d, so the rank is at most 1; k > d: all dropped
+    for n in range(1, 5):
+        for k in (n, n + 1):
+            if k >= 2:
+                inst = random_rk_instance(Q, n, k, rng.randint(0, 4), rng)
+                assert check_symbolic_rank(inst, 3, rng) == []
+                assert rk_rank(inst) <= (1 if k == n else 0)
 
 
 def test_evaluate_rk_point_count():
@@ -268,12 +259,12 @@ def test_split_to_planes_preserves_rho1():
 
 
 def test_field_transport():
-    inst = R2Instance(Q, 2, ((fr(1, 0), (Fraction(1, 2), Fraction(0))),))
-    moved = r2_to_prime(inst, 10007)
+    inst = RkInstance(Q, 2, 2, ((fr(1, 0), (Fraction(1, 2), Fraction(0))),))
+    moved = rk_to_prime(inst, 10007)
     assert moved.field.p == 10007
-    assert moved.rows[0][1][0] == pow(2, -1, 10007)
-    bad = R2Instance(Q, 2, (((Fraction(1, 10007), Fraction(0)), fr(0, 1)),))
+    assert moved.tensors[0][1][0] == pow(2, -1, 10007)
+    bad = RkInstance(Q, 2, 2, (((Fraction(1, 10007), Fraction(0)), fr(0, 1)),))
     with pytest.raises(BadScalar):
-        r2_to_prime(bad, 10007)
+        rk_to_prime(bad, 10007)
     tensor = RkInstance(Q, 3, 2, ((fr(1, 0, 0), fr(0, 1, 0)),))
     assert rk_to_prime(tensor, 7).field.p == 7

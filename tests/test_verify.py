@@ -33,13 +33,13 @@ def test_shared_checks_flag_wrong_answers(monkeypatch):
     assert len(verify.check_w_basis(stray)) == 2
     # wrong engine, deterministic rank, pebble game and minimizer list
     monkeypatch.setattr(verify, "rho", lambda fam, c, backend=None: rho_bruteforce(fam, c + 1))
-    monkeypatch.setattr(verify, "r2_rank", lambda inst: -1)
+    monkeypatch.setattr(verify, "rk_rank", lambda inst: -1)
     monkeypatch.setattr(verify, "laman_oracle", lambda graph: False)
     monkeypatch.setattr(verify, "all_minimizing_masks", lambda oracle: (Fraction(0), [1, 2]))
     family = rigidity_family(k3, 2)
     assert len(verify.check_engine_matches_bruteforce(family, 1)) == 2
     assert verify.check_intersection_identity(family, Matrix.from_rows(Q, [(1, 2, 3, 4, 5, 7)], 6))
-    assert verify.check_symbolic_rank(verify.random_r2_instance(Q, 3, 2, random.Random(0)),
+    assert verify.check_symbolic_rank(verify.random_rk_instance(Q, 3, 2, 2, random.Random(0)),
                                       1, random.Random(0))
     assert verify.check_rigidity_pebble(k3)
     assert verify.check_minimizer_lattice(SubmodularOracle(2, lambda s: Fraction(0))) == [
