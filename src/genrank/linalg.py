@@ -217,6 +217,8 @@ def determinant(field: FieldSpec, rows: Sequence[Sequence]):
             det = field.neg(det)
         pivot = work[col][col]
         det = field.mul(det, pivot)
+        if col == n - 1:
+            break
         inv = field.inv(pivot)
         for r in range(col + 1, n):
             if work[r][col] != 0:

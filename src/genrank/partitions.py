@@ -183,9 +183,13 @@ def rho_of_partition(family: SubspaceFamily, pi: Partition, c) -> Fraction:
     _require_full_partition(pi, len(family))
     if not len(family):
         return Fraction(0)
-    cache = SpanRankCache(family.members)
+    return _blocks_value(SpanRankCache(family.members), pi.blocks, c)
+
+
+def _blocks_value(cache: SpanRankCache, blocks: Iterable[Sequence[int]], c: Fraction) -> Fraction:
+    """Sum of (dim span(block) - c) over the blocks, with ranks from the cache."""
     total = Fraction(0)
-    for block in pi.blocks:
+    for block in blocks:
         mask = 0
         for i in block:
             mask |= 1 << i
@@ -235,12 +239,7 @@ def rho_bruteforce(family: SubspaceFamily, c) -> RhoResult:
     best_partition: list[list[int]] | None = None
     ties = 0
     for blocks in _set_partitions(n):
-        total = Fraction(0)
-        for block in blocks:
-            mask = 0
-            for i in block:
-                mask |= 1 << i
-            total += cache.rank(mask) - c
+        total = _blocks_value(cache, blocks, c)
         if best_value is None or total < best_value:
             best_value = total
             best_blocks = len(blocks)

@@ -7,7 +7,8 @@ itself a minimizer when the function is submodular).
 * minimize_exhaustive scans every subset; guard at 20 elements.
 * minimize_polynomial runs the min-norm-point (Fujishige-Wolfe) method on the
   base polytope in exact rational arithmetic, reads the maximal minimizer off
-  the signs of the optimal point, then applies a maximality closure.
+  the signs of the optimal point, then applies a maximality closure.  Each
+  minor cycle's KKT system is solved by linalg's fraction-free Q kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import InternalInvariantError, NotConverged, TooLarge
+from .linalg import _rref_q
 
 EXHAUSTIVE_LIMIT = 20
 
@@ -147,44 +149,20 @@ def _greedy_base(oracle: SubmodularOracle, weights: list[Fraction], f0: Fraction
 def _affine_minimizer(points: list[tuple]) -> list[Fraction] | None:
     """Coefficients of the min-norm point of the affine hull of the points.
 
-    Solves the KKT system [[0, 1^T], [1, Gram]] (mu, lam) = (1, 0) exactly;
-    returns None if the points are affinely dependent (singular system).
+    Solves the KKT system [[0, 1^T], [1, Gram]] (lam, mu) = (1, 0) exactly with
+    linalg's fraction-free Q kernel; returns None if the points are affinely
+    dependent (singular system).
     """
     m = len(points)
-    size = m + 1
-    rows = [[Fraction(0)] * (size + 1) for _ in range(size)]
-    rows[0][0] = Fraction(0)
-    for j in range(m):
-        rows[0][j + 1] = Fraction(1)
-    rows[0][size] = Fraction(1)
-    for i in range(m):
-        rows[i + 1][0] = Fraction(1)
-        pi = points[i]
+    rows = [[0] + [1] * m + [1]] + [[1] + [0] * (m + 1) for _ in points]
+    for i, pi in enumerate(points):
         for j in range(i, m):
-            g = Fraction(0)
-            pj = points[j]
-            for a, b in zip(pi, pj):
-                if a and b:
-                    g += a * b
-            rows[i + 1][j + 1] = g
-            rows[j + 1][i + 1] = g
-    # Gaussian elimination with partial (first nonzero) pivoting.
-    for col in range(size):
-        sel = None
-        for r in range(col, size):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return None
-        rows[col], rows[sel] = rows[sel], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [rows[j + 1][size] for j in range(m)]
+            rows[i + 1][j + 1] = rows[j + 1][i + 1] = _dot(pi, points[j])
+    reduced = _rref_q(rows)
+    # Nonsingular exactly when columns 0..m all hold pivots, the last in row m.
+    if len(reduced) <= m or not reduced[m][m]:
+        return None
+    return [row[m + 1] for row in reduced[1:]]
 
 
 def _dot(u: tuple, v: tuple) -> Fraction:
@@ -201,8 +179,10 @@ def minimize_polynomial(oracle: SubmodularOracle) -> MinimizerResult:
     Wolfe's algorithm keeps a corral S of affinely independent extreme bases
     and the min-norm point x of their convex hull.  With exact arithmetic the
     optimality test <x, greedy(x)> >= <x, x> is an equality test, so the
-    optimum is exact.  The maximal minimizer is {i : x*_i <= 0}; a closure
-    pass afterwards re-checks maximality element by element.
+    optimum is exact.  The affine minimizer of each corral comes from its KKT
+    system, solved by linalg's fraction-free Q kernel.  The maximal minimizer
+    is {i : x*_i <= 0}; a closure pass afterwards re-checks maximality
+    element by element.
     """
     n = oracle.n
     f0 = oracle.eval_mask(0)

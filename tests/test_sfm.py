@@ -9,10 +9,12 @@ import pytest
 
 from genrank.errors import TooLarge
 from genrank.fields import FieldSpec
-from genrank.engine import insertion_oracle
+from genrank.engine import empty_state, insert_subspace, insertion_oracle
+from genrank.rigidity import rigidity_family
 from genrank.sfm import (
     EXHAUSTIVE_LIMIT,
     SubmodularOracle,
+    _affine_minimizer,
     maximality_closure,
     minimize_exhaustive,
     verify_submodular,
@@ -22,6 +24,7 @@ from genrank.verify import (
     check_mnp_matches_exhaustive,
     coverage_oracle,
     random_family,
+    random_graph,
 )
 
 
@@ -136,6 +139,43 @@ def test_wolfe_matches_exhaustive_on_insertion_oracles():
             g = random_family(field, ambient, 1, rng)[0]
             for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
                 assert check_mnp_matches_exhaustive(insertion_oracle(family, g, c)) == []
+    # 2-D rigidity families folded edge by edge reach hats of 11 members
+    for graph in (random_graph(10, random.Random(5), .4), random_graph(11, random.Random(7), .35)):
+        family = rigidity_family(graph, 2)
+        state = empty_state(family.field, family.ambient_dim, 1)
+        for i, g in enumerate(family):
+            if len(state.hat) >= 8:
+                oracle = insertion_oracle(state.hat_family(), g, 1)
+                assert check_mnp_matches_exhaustive(oracle) == []
+            state = insert_subspace(state, g, i)
+
+
+def test_affine_minimizer():
+    def points(*rows):
+        return [tuple(Fraction(x) for x in row) for row in rows]
+
+    assert _affine_minimizer(points((3, -1))) == [1]
+    assert _affine_minimizer(points((1, 2), (0, 1), (1, 2))) is None
+    assert _affine_minimizer(points((0, 0, 1), (1, 1, 0), (2, 2, -1))) is None
+    rng = random.Random(3)
+    corrals = [points((1, 0), (0, 1)), points((2, 1, 0), (1, 1, 1), (0, 3, -1))]
+    for _ in range(20):
+        dim = rng.randint(1, 5)
+        corrals.append([tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim))
+                        for _ in range(rng.randint(1, dim + 1))])
+    independent = 0
+    for corral in corrals:
+        mu = _affine_minimizer(corral)
+        if mu is None:
+            continue
+        independent += 1
+        assert sum(mu) == 1
+        y = [sum((m * p[k] for m, p in zip(mu, corral)), Fraction(0))
+             for k in range(len(corral[0]))]
+        p0 = corral[0]
+        for p in corral:
+            assert sum((a * (b - c) for a, b, c in zip(y, p, p0)), Fraction(0)) == 0
+    assert independent >= 15
 
 
 def test_minimizers_form_a_lattice():
