@@ -1,10 +1,12 @@
 """Exact submodular minimization by the min-norm-point method.
 
 Two backends minimize the same oracle: an exhaustive subset scan and a
-min-norm-point computation run entirely in rational arithmetic, so there
-is no convergence tolerance to tune.  Both report the maximal minimizer,
-the union of every minimizing subset, which is itself a minimizer because
-the minimizers of a submodular function form a lattice.
+min-norm-point computation run in exact arithmetic, so there is no
+convergence tolerance to tune.  Its extreme bases are scaled to integer
+vectors, their Gram is exact integers, and rationals appear only in the
+convex coefficients.  Both report the maximal minimizer, the union of
+every minimizing subset, which is itself a minimizer because the minimizers
+of a submodular function form a lattice.
 
 Run:  python3 demos/min_norm_point.py
 """

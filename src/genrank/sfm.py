@@ -6,9 +6,11 @@ itself a minimizer when the function is submodular).
 
 * minimize_exhaustive scans every subset; guard at 20 elements.
 * minimize_polynomial runs the min-norm-point (Fujishige-Wolfe) method on the
-  base polytope in exact rational arithmetic, reads the maximal minimizer off
-  the signs of the optimal point, then applies a maximality closure.  Each
-  minor cycle's KKT system is solved by linalg's fraction-free Q kernel.
+  base polytope exactly: extreme bases are stored scaled to integer vectors,
+  the corral's Gram is exact integers, and rationals appear only in the
+  convex coefficients lam.  It reads the maximal minimizer off the signs of
+  the optimal point, then applies a maximality closure.  Each minor cycle's
+  KKT system is solved by linalg's fraction-free Q kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Callable, Iterable
 
 from .errors import InternalInvariantError, NotConverged, TooLarge
@@ -127,14 +131,15 @@ def maximality_closure(oracle: SubmodularOracle, start: frozenset[int],
     return _mask_to_set(mask)
 
 
-def _greedy_base(oracle: SubmodularOracle, weights: list[Fraction], f0: Fraction) -> tuple:
+def _greedy_base(oracle: SubmodularOracle, weights: list, f0: Fraction) -> tuple:
     """Edmonds' greedy extreme base minimizing <weights, b> over the base polytope.
 
     Ties in the weights break lexicographically by index, so the whole method
     is deterministic.  The function is implicitly normalized by f0 = f(empty).
     """
     n = oracle.n
-    order = sorted(range(n), key=lambda i: (weights[i], i))
+    # sorted is stable, so equal weights keep index order
+    order = sorted(range(n), key=weights.__getitem__)
     base = [Fraction(0)] * n
     mask = 0
     prev = f0
@@ -146,18 +151,16 @@ def _greedy_base(oracle: SubmodularOracle, weights: list[Fraction], f0: Fraction
     return tuple(base)
 
 
-def _affine_minimizer(points: list[tuple]) -> list[Fraction] | None:
-    """Coefficients of the min-norm point of the affine hull of the points.
+def _affine_minimizer(gram: list[list]) -> list[Fraction] | None:
+    """Coefficients of the min-norm point of the affine hull of a corral, from its Gram.
 
     Solves the KKT system [[0, 1^T], [1, Gram]] (lam, mu) = (1, 0) exactly with
     linalg's fraction-free Q kernel; returns None if the points are affinely
-    dependent (singular system).
+    dependent (singular system).  The coefficients do not change when every
+    point is multiplied by a common positive scale.
     """
-    m = len(points)
-    rows = [[0] + [1] * m + [1]] + [[1] + [0] * (m + 1) for _ in points]
-    for i, pi in enumerate(points):
-        for j in range(i, m):
-            rows[i + 1][j + 1] = rows[j + 1][i + 1] = _dot(pi, points[j])
+    m = len(gram)
+    rows = [[0] + [1] * m + [1]] + [[1, *row, 0] for row in gram]
     reduced = _rref_q(rows)
     # Nonsingular exactly when columns 0..m all hold pivots, the last in row m.
     if len(reduced) <= m or not reduced[m][m]:
@@ -165,51 +168,77 @@ def _affine_minimizer(points: list[tuple]) -> list[Fraction] | None:
     return [row[m + 1] for row in reduced[1:]]
 
 
-def _dot(u: tuple, v: tuple) -> Fraction:
-    acc = Fraction(0)
-    for a, b in zip(u, v):
-        if a and b:
-            acc += a * b
-    return acc
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _scaled_base(base: tuple, scale: int) -> tuple[list[int], int]:
+    """(scale * base as integers, scale), scale first raised to an lcm with base's denominators."""
+    scale = lcm(scale, *(b.denominator for b in base))
+    return [b.numerator * (scale // b.denominator) for b in base], scale
 
 
 def minimize_polynomial(oracle: SubmodularOracle) -> MinimizerResult:
-    """Min-norm-point minimization with exact rationals.
+    """Min-norm-point minimization, exact, with the corral kept in integers.
 
     Wolfe's algorithm keeps a corral S of affinely independent extreme bases
-    and the min-norm point x of their convex hull.  With exact arithmetic the
+    and the min-norm point x of their convex hull.  Each greedy base is stored
+    as scale * base, an integer vector, with one integer scale per call that
+    only grows (to an lcm) when a base brings a new denominator.  The corral's
+    Gram is exact integers, kept across minor cycles by bordering and deleting
+    one row and column at a time.  Rationals appear only in the convex
+    coefficients lam_i = a_i / D, which come from each corral's KKT system,
+    solved by linalg's fraction-free Q kernel; x itself is held as the integer
+    vector x_int = sum a_i p_i = D * scale * x.  With exact arithmetic the
     optimality test <x, greedy(x)> >= <x, x> is an equality test, so the
-    optimum is exact.  The affine minimizer of each corral comes from its KKT
-    system, solved by linalg's fraction-free Q kernel.  The maximal minimizer
-    is {i : x*_i <= 0}; a closure pass afterwards re-checks maximality
-    element by element.
+    optimum is exact.  The maximal minimizer is {i : x*_i <= 0}; a closure
+    pass afterwards re-checks maximality element by element.
     """
     n = oracle.n
     f0 = oracle.eval_mask(0)
     if n == 0:
         return MinimizerResult(f0, frozenset(), True)
 
-    x = _greedy_base(oracle, [Fraction(0)] * n, f0)
-    corral: list[tuple] = [x]
-    lam: list[Fraction] = [Fraction(1)]
+    point, scale = _scaled_base(_greedy_base(oracle, [0] * n, f0), 1)
+    corral: list[list[int]] = [point]
+    gram: list[list[int]] = [[_idot(point, point)]]
+    coeffs, denom = [1], 1
+    x_int = point
 
     steps = 0
+
+    def where() -> str:
+        return f"(ground set {n}, corral {len(corral)}, step {steps})"
+
     while True:
         steps += 1
         if steps > _WOLFE_MAX_STEPS:
-            raise NotConverged("min-norm point iteration exceeded its safety bound")
-        q = _greedy_base(oracle, list(x), f0)
-        if _dot(x, q) >= _dot(x, x):
+            raise NotConverged(f"min-norm point iteration exceeded its safety bound {where()}")
+        # D * scale > 0, so x_int sorts exactly as x does.
+        q, new_scale = _scaled_base(_greedy_base(oracle, x_int, f0), scale)
+        if new_scale != scale:
+            ratio = new_scale // scale
+            corral = [[ratio * v for v in p] for p in corral]
+            gram = [[ratio * ratio * v for v in row] for row in gram]
+            x_int = [ratio * v for v in x_int]
+            scale = new_scale
+        border = [_idot(p, q) for p in corral]
+        # <x, q> >= <x, x>, multiplied through by D^2 * scale^2.
+        if denom * _idot(coeffs, border) >= _idot(coeffs, [_idot(row, coeffs) for row in gram]):
             break
+        for row, v in zip(gram, border):
+            row.append(v)
+        border.append(_idot(q, q))
+        gram.append(border)
         corral.append(q)
-        lam.append(Fraction(0))
+        lam = [Fraction(a, denom) for a in coeffs] + [Fraction(0)]
         while True:
             steps += 1
             if steps > _WOLFE_MAX_STEPS:
-                raise NotConverged("min-norm point iteration exceeded its safety bound")
-            mu = _affine_minimizer(corral)
+                raise NotConverged(f"min-norm point iteration exceeded its safety bound {where()}")
+            mu = _affine_minimizer(gram)
             if mu is None:
-                raise InternalInvariantError("corral became affinely dependent")
+                raise InternalInvariantError(f"corral became affinely dependent {where()}")
             if all(m > 0 for m in mu):
                 lam = mu
                 break
@@ -223,26 +252,27 @@ def minimize_polynomial(oracle: SubmodularOracle) -> MinimizerResult:
             lam = [theta * m + (1 - theta) * l for l, m in zip(lam, mu)]
             keep = [i for i, l in enumerate(lam) if l > 0]
             corral = [corral[i] for i in keep]
+            gram = [[gram[i][j] for j in keep] for i in keep]
             lam = [lam[i] for i in keep]
-        x = tuple(
-            sum((l * p[i] for l, p in zip(lam, corral)), Fraction(0)) for i in range(n)
-        )
+        denom = lcm(*(l.denominator for l in lam))
+        coeffs = [l.numerator * (denom // l.denominator) for l in lam]
+        x_int = [_idot(coeffs, column) for column in zip(*corral)]
 
     # Fujishige: min f - f0 equals the sum of the negative coordinates of x*,
-    # attained maximally by the nonpositive coordinates.
-    expected = f0 + sum((v for v in x if v < 0), Fraction(0))
+    # attained maximally by the nonpositive coordinates; x* = x_int / (D * scale).
+    expected = f0 + Fraction(sum(v for v in x_int if v < 0), denom * scale)
     mask = 0
-    for i, v in enumerate(x):
+    for i, v in enumerate(x_int):
         if v <= 0:
             mask |= 1 << i
     value = oracle.eval_mask(mask)
     if value != expected:
         raise InternalInvariantError(
-            f"min-norm point inconsistent: f(S0) = {value}, predicted {expected}")
+            f"min-norm point inconsistent: f(S0) = {value}, predicted {expected} {where()}")
     closed = maximality_closure(oracle, _mask_to_set(mask))
     closed_value = oracle.eval(closed)
     if closed_value != value:
-        raise InternalInvariantError("maximality closure changed the minimum value")
+        raise InternalInvariantError(f"maximality closure changed the minimum value {where()}")
     return MinimizerResult(value, closed, True)
 
 

@@ -149,6 +149,17 @@ def test_rank_agrees_with_pebble_game_random():
         assert check_rigidity_pebble(random_graph(rng.randint(4, 7), rng)) == []
 
 
+def test_mnp_rank_at_thirty_vertices():
+    # 134 edges, more than any benchmark template: larger hats and Gram entries
+    graph = random_graph(30, random.Random(30), .3)
+    assert len(graph.edges) == 134
+    assert rigidity_rank_2d(graph, backend="mnp") == 57
+    assert rigidity_randomized_rank(graph, 2, rng=random.Random(0)) == 57
+    # check_rigidity_pebble at the mnp rank (its default backend sends hats of
+    # up to 16 members to the 2^n scan): rank 2n - 3, and the pebble game accepts
+    assert 2 * graph.n - 3 == 57 and laman_oracle(graph)
+
+
 def test_overbraced_graph_rank_caps():
     # K5 has 10 edges but plane rank caps at 2n-3 = 7
     k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
