@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import MixedAmbient
+from .errors import InternalInvariantError, MixedAmbient
 from .fields import FieldSpec, as_fraction
-from .linalg import Subspace, span_dim, subspace_from_rows
+from .linalg import Subspace, span_dim
 from .partitions import Partition, RhoResult, SpanRankCache, SubspaceFamily
 from .partitions import _check_hat_distinct as _check_hat
 from .sfm import MinimizerResult, SubmodularOracle, minimize_exhaustive, minimize_polynomial
@@ -60,6 +61,23 @@ class InsertionOracle(SubmodularOracle):
         self._memo[mask] = value
         return value
 
+    def eval_prefixes(self, order: Sequence[int]) -> list[Fraction]:
+        """Values on the prefixes of order, their ranks walked as one chain of cache states."""
+        memo = self._memo
+        dims = self._dims
+        offsets = self._offsets
+        outside = self._dim_total
+        mask = 0
+        values = []
+        for k, (i, rank) in enumerate(zip(order, self._cache.prefix_ranks(order)), 1):
+            mask |= 1 << i
+            outside -= dims[i]
+            value = memo.get(mask)
+            if value is None:
+                value = memo[mask] = offsets[k] + (rank + outside)
+            values.append(value)
+        return values
+
 
 def insertion_oracle(base: SubspaceFamily, g: Subspace, c) -> InsertionOracle:
     """Build the insertion function for a hat family and a new subspace."""
@@ -92,9 +110,7 @@ def empty_state(field, ambient_dim: int, c) -> EngineState:
     return EngineState(as_fraction(c), ambient_dim, field, (), ())
 
 
-def _minimize(oracle: SubmodularOracle, backend: str | None) -> MinimizerResult:
-    if backend is None:
-        backend = "exhaustive" if oracle.n <= AUTO_EXHAUSTIVE_LIMIT else "mnp"
+def _minimize(oracle: SubmodularOracle, backend: str) -> MinimizerResult:
     if backend == "exhaustive":
         return minimize_exhaustive(oracle)
     if backend == "mnp":
@@ -107,29 +123,39 @@ def insert_subspace(state: EngineState, g: Subspace, original_index: int,
     """Fold one more subspace into the state.
 
     The hat members outside the minimizer X* survive unchanged; the members
-    inside X* merge with g into a single new span appended at the end.
+    inside X* merge with g into a single new span appended at the end.  That
+    span is read off the echelon state at X* that the insertion oracle built
+    while minimizing, so no row is eliminated twice.  An internal invariant
+    failure is re-raised with the same type, naming the insertion (original
+    index, hat size, c and backend).
     """
     if g.ambient_dim != state.ambient_dim or g.field != state.field:
         raise MixedAmbient("inserted subspace lives in a different ambient space")
     if not state.hat:
         return EngineState(state.c, state.ambient_dim, state.field,
                            (g,), (frozenset([original_index]),))
+    if backend is None:
+        backend = "exhaustive" if len(state.hat) <= AUTO_EXHAUSTIVE_LIMIT else "mnp"
     oracle = InsertionOracle(list(state.hat), g, state.c)
-    result = _minimize(oracle, backend)
-    merged_rows = list(g.basis.rows)
-    merged_indices = {original_index}
-    hat = []
-    blocks = []
-    for i, member in enumerate(state.hat):
-        if i in result.minimizer:
-            merged_rows.extend(member.basis.rows)
-            merged_indices |= state.blocks[i]
-        else:
-            hat.append(member)
-            blocks.append(state.blocks[i])
-    hat.append(subspace_from_rows(state.field, state.ambient_dim, merged_rows))
-    blocks.append(frozenset(merged_indices))
-    _check_hat(hat, state.c)
+    try:
+        result = _minimize(oracle, backend)
+        merged_mask = 0
+        merged_indices = {original_index}
+        hat = []
+        blocks = []
+        for i, member in enumerate(state.hat):
+            if i in result.minimizer:
+                merged_mask |= 1 << i
+                merged_indices |= state.blocks[i]
+            else:
+                hat.append(member)
+                blocks.append(state.blocks[i])
+        hat.append(oracle._cache.subspace(merged_mask))
+        blocks.append(frozenset(merged_indices))
+        _check_hat(hat, state.c)
+    except InternalInvariantError as exc:
+        raise type(exc)(f"{exc} (inserting member {original_index} into a hat of "
+                        f"{len(state.hat)}, c = {state.c}, backend {backend})") from exc
     return EngineState(state.c, state.ambient_dim, state.field, tuple(hat), tuple(blocks))
 
 

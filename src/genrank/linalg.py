@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -148,27 +149,41 @@ def _echelon(p: int | None, rows: Sequence[Sequence]) -> list:
     return _extend_basis([], map(_primitive, rows) if p is None else rows, p, len(rows[0]))
 
 
-def _rref_q(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q, nonzero rows only.
+def _back_substitute_q(basis: list) -> list:
+    """A Q echelon basis cleared above every pivot, as (pivot column, row) sorted by column.
 
-    Fraction-free throughout: rows become primitive integer vectors, the echelon
-    basis is back-substituted with the same integer step, and each row is
-    divided by its pivot once at the end.
+    The clearing step is the same integer step as elimination, so the rows
+    stay primitive integer vectors.  The basis and its rows are left as they
+    are, so a cached state can be read without copying it first.
     """
-    basis = sorted(_echelon(None, rows))
+    basis = sorted(basis)
     for i in range(len(basis) - 1, 0, -1):
         col, piv = basis[i]
         for r in range(i):
             above = basis[r][1]
             if above[col]:
                 basis[r] = (basis[r][0], _eliminate_q(above, col, piv))
+    return basis
+
+
+def _divide_pivots(rows: list) -> list[list[Fraction]]:
+    """Each back-substituted (pivot column, integer row) divided by its pivot."""
     zero = Fraction(0)
-    return [[Fraction(x, row[col]) if x else zero for x in row] for col, row in basis]
+    return [[Fraction(x, row[col]) if x else zero for x in row] for col, row in rows]
 
 
-def _rref_fp(p: int, rows: Sequence[Sequence]) -> list[list[int]]:
-    """Reduced row echelon form over F_p on canonical residues, nonzero rows only."""
-    basis = sorted(_echelon(p, rows))
+def _reduce_q(basis: list) -> list[list[Fraction]]:
+    """Reduced row echelon form of a Q echelon basis, nonzero rows only."""
+    return _divide_pivots(_back_substitute_q(basis))
+
+
+def _reduce_fp(p: int, basis: list) -> list[list[int]]:
+    """Back-substitute an F_p echelon basis into reduced row echelon form, nonzero rows only.
+
+    A tail that changes is replaced by a new list rather than written in
+    place: cached states share their tails with each other.
+    """
+    basis = sorted(basis)
     for i in range(len(basis) - 1, 0, -1):
         col, tail = basis[i]
         for r in range(i):
@@ -176,13 +191,23 @@ def _rref_fp(p: int, rows: Sequence[Sequence]) -> list[list[int]]:
             k = col - start
             x = above[k]
             if x:
-                above[k:] = [(v - x * w) % p for v, w in zip(above[k:], tail)]
+                basis[r] = (start, above[:k] + [(v - x * w) % p for v, w in zip(above[k:], tail)])
     return [[0] * col + tail for col, tail in basis]
+
+
+def _reduce(p: int | None, basis: list) -> list[list]:
+    """Reduced row echelon form of an echelon basis, over Q when p is None, else over F_p."""
+    return _reduce_q(basis) if p is None else _reduce_fp(p, basis)
+
+
+def _rref_q(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Reduced row echelon form over Q, nonzero rows only, fraction-free throughout."""
+    return _reduce_q(_echelon(None, rows))
 
 
 def _rref_rows(field: FieldSpec, rows: Sequence[Sequence]) -> list[list]:
     """Reduced row echelon form with the zero rows dropped, by the field's own kernel."""
-    return _rref_q(rows) if field.p is None else _rref_fp(field.p, rows)
+    return _reduce(field.p, _echelon(field.p, rows))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -300,6 +325,23 @@ class Subspace:
     def field(self) -> FieldSpec:
         return self.basis.field
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The basis rows as the elimination kernels take them, computed once.
+
+        Primitive integer vectors over Q, the residues themselves over F_p.
+        """
+        if self.field.p is None:
+            return tuple(tuple(_primitive(r)) for r in self.basis.rows)
+        return self.basis.rows
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_dim, self.basis))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def dim(self) -> int:
         return self.basis.nrows
@@ -327,6 +369,24 @@ def subspace_from_rows(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequen
     if rk == 0:
         raise AllRowsZero("the given rows span only the zero subspace")
     return Subspace(ambient_dim, reduced)
+
+
+def _subspace_of_echelon(field: FieldSpec, ambient_dim: int, basis: list) -> Subspace:
+    """The span of an echelon basis (an elimination state) as a canonical Subspace.
+
+    Over Q the back-substituted integer rows, signed so each pivot is positive,
+    are exactly the primitive forms of the RREF rows, so they become the new
+    Subspace's int_rows as they are.
+    """
+    if field.p is not None:
+        reduced = tuple(map(tuple, _reduce_fp(field.p, basis)))
+        return Subspace(ambient_dim, Matrix(field, reduced, ambient_dim))
+    rows = _back_substitute_q(basis)
+    reduced = tuple(map(tuple, _divide_pivots(rows)))
+    subspace = Subspace(ambient_dim, Matrix(field, reduced, ambient_dim))
+    object.__setattr__(subspace, "int_rows", tuple(
+        tuple(row) if row[col] > 0 else tuple(-x for x in row) for col, row in rows))
+    return subspace
 
 
 def _check_same_space(subspaces: Sequence[Subspace]):

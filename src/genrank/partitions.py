@@ -22,7 +22,7 @@ from .errors import (
     ZeroSubspace,
 )
 from .fields import FieldSpec, as_fraction
-from .linalg import Subspace, _extend_basis, _primitive, subspace_from_rows
+from .linalg import Subspace, _extend_basis, _primitive, _subspace_of_echelon, subspace_from_rows
 
 BRUTEFORCE_LIMIT = 12
 
@@ -125,17 +125,22 @@ def _require_full_partition(pi: Partition, n: int):
 
 
 class SpanRankCache:
-    """Rank of sp(seed rows + members selected by bitmask), memoized.
+    """Rank of sp(seed rows + members selected by bitmask), memoized per mask.
 
     A state is an echelon basis from linalg's integer kernels: primitive
     integer rows eliminated fraction-free over Q, residue rows with one
-    reduction mod p per entry over F_p.  Member and seed rows are made
-    primitive once, here, over Q.
+    reduction mod p per entry over F_p.  Member rows come from each member's
+    Subspace.int_rows, which are computed once per Subspace and so carry over
+    from one cache to the next; seed rows are converted here.
 
-    The state of a mask extends the state of the mask with its lowest set bit
-    removed by that member's rows, so evaluating all subsets costs one row
-    insertion per subset instead of a fresh elimination.  A state with ncols
-    pivots already spans everything: every superset mask shares it as is.
+    States are built in two ways and land in one dict, so either way reuses
+    what the other built.  rank(mask) extends the state of the mask with its
+    lowest set bits removed, down to the nearest cached ancestor: evaluating
+    all subsets in index order costs one member insertion per subset.
+    prefix_ranks(order) walks one chain, such as a greedy order: each prefix
+    extends the previous prefix's state by one member's rows.  A state with
+    ncols pivots already spans everything: every superset mask shares it as
+    is.  subspace(mask) reads a canonical Subspace off the state of a mask.
     """
 
     def __init__(self, members: Sequence[Subspace], seed_rows: Sequence[Sequence] = (),
@@ -147,10 +152,17 @@ class SpanRankCache:
             raise MixedAmbient("empty cache needs an explicit field and width")
         self.field = field
         self.ncols = ncols
+        self.member_rows = [m.int_rows for m in members]
         convert = _primitive if field.p is None else tuple
-        self.member_rows = [[convert(r) for r in m.basis.rows] for m in members]
         self._states: dict[int, list] = {
             0: _extend_basis([], map(convert, seed_rows), field.p, ncols)}
+
+    def _extend(self, state: list, member: int) -> list:
+        """The state with one more member's rows; a state that gains no row is shared."""
+        if len(state) == self.ncols:
+            return state
+        grown = _extend_basis(list(state), self.member_rows[member], self.field.p, self.ncols)
+        return grown if len(grown) > len(state) else state
 
     def _state(self, mask: int) -> list:
         states = self._states
@@ -163,18 +175,33 @@ class SpanRankCache:
             chain.append(mask)
             mask &= mask - 1
             state = states.get(mask)
-        # A state that gains no row is shared with its parent rather than copied.
         for mask in reversed(chain):
-            if len(state) < self.ncols:
-                rows = self.member_rows[(mask & -mask).bit_length() - 1]
-                grown = _extend_basis(list(state), rows, self.field.p, self.ncols)
-                if len(grown) > len(state):
-                    state = grown
+            state = self._extend(state, (mask & -mask).bit_length() - 1)
             states[mask] = state
         return state
 
     def rank(self, mask: int) -> int:
         return len(self._state(mask))
+
+    def prefix_ranks(self, order: Sequence[int]) -> list[int]:
+        """Ranks of the masks of order[:1], order[:2], ..., one state extension per new mask."""
+        states = self._states
+        state = states[0]
+        mask = 0
+        ranks = []
+        for i in order:
+            mask |= 1 << i
+            cached = states.get(mask)
+            if cached is None:
+                state = states[mask] = self._extend(state, i)
+            else:
+                state = cached
+            ranks.append(len(state))
+        return ranks
+
+    def subspace(self, mask: int) -> Subspace:
+        """sp(seed rows + members in mask) in canonical form, read off the mask's state."""
+        return _subspace_of_echelon(self.field, self.ncols, self._state(mask))
 
 
 def rho_of_partition(family: SubspaceFamily, pi: Partition, c) -> Fraction:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInvariantError, NotConverged, TooLarge
 from .linalg import _rref_q
@@ -55,6 +55,19 @@ class SubmodularOracle:
 
     def eval(self, subset: Iterable[int]) -> Fraction:
         return self.eval_mask(_set_to_mask(subset, self.n))
+
+    def eval_prefixes(self, order: Sequence[int]) -> list[Fraction]:
+        """Values on the growing prefixes {order[0]}, {order[0], order[1]}, ... of an order.
+
+        This default evaluates each prefix mask on its own; an oracle that can
+        extend one prefix's work to the next overrides it.
+        """
+        values = []
+        mask = 0
+        for i in order:
+            mask |= 1 << i
+            values.append(self.eval_mask(mask))
+        return values
 
 
 @dataclass(frozen=True)
@@ -136,16 +149,15 @@ def _greedy_base(oracle: SubmodularOracle, weights: list, f0: Fraction) -> tuple
 
     Ties in the weights break lexicographically by index, so the whole method
     is deterministic.  The function is implicitly normalized by f0 = f(empty).
+    The greedy order's prefixes form one chain, which the oracle evaluates in
+    a single eval_prefixes call.
     """
     n = oracle.n
     # sorted is stable, so equal weights keep index order
     order = sorted(range(n), key=weights.__getitem__)
     base = [Fraction(0)] * n
-    mask = 0
     prev = f0
-    for i in order:
-        mask |= 1 << i
-        cur = oracle.eval_mask(mask)
+    for i, cur in zip(order, oracle.eval_prefixes(order)):
         base[i] = cur - prev
         prev = cur
     return tuple(base)
@@ -182,17 +194,20 @@ def minimize_polynomial(oracle: SubmodularOracle) -> MinimizerResult:
     """Min-norm-point minimization, exact, with the corral kept in integers.
 
     Wolfe's algorithm keeps a corral S of affinely independent extreme bases
-    and the min-norm point x of their convex hull.  Each greedy base is stored
-    as scale * base, an integer vector, with one integer scale per call that
-    only grows (to an lcm) when a base brings a new denominator.  The corral's
-    Gram is exact integers, kept across minor cycles by bordering and deleting
-    one row and column at a time.  Rationals appear only in the convex
-    coefficients lam_i = a_i / D, which come from each corral's KKT system,
-    solved by linalg's fraction-free Q kernel; x itself is held as the integer
-    vector x_int = sum a_i p_i = D * scale * x.  With exact arithmetic the
-    optimality test <x, greedy(x)> >= <x, x> is an equality test, so the
-    optimum is exact.  The maximal minimizer is {i : x*_i <= 0}; a closure
-    pass afterwards re-checks maximality element by element.
+    and the min-norm point x of their convex hull.  Each greedy base costs one
+    oracle.eval_prefixes call along its order, which an oracle may evaluate
+    as a single chain (InsertionOracle extends one span state per prefix).
+    Each greedy base is stored as scale * base, an integer vector, with one
+    integer scale per call that only grows (to an lcm) when a base brings a
+    new denominator.  The corral's Gram is exact integers, kept across minor
+    cycles by bordering and deleting one row and column at a time.  Rationals
+    appear only in the convex coefficients lam_i = a_i / D, which come from
+    each corral's KKT system, solved by linalg's fraction-free Q kernel; x
+    itself is held as the integer vector x_int = sum a_i p_i = D * scale * x.
+    With exact arithmetic the optimality test <x, greedy(x)> >= <x, x> is an
+    equality test, so the optimum is exact.  The maximal minimizer is
+    {i : x*_i <= 0}; a closure pass afterwards re-checks maximality element
+    by element.
     """
     n = oracle.n
     f0 = oracle.eval_mask(0)

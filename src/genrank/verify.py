@@ -13,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .engine import empty_state, insert_subspace, insertion_oracle, rho
+from .engine import EngineState, empty_state, insert_subspace, insertion_oracle, rho
 from .errors import GenrankError
 from .fields import DEFAULT_PRIME, FieldSpec
 from .linalg import (
@@ -28,6 +28,7 @@ from .linalg import (
     sample_vector,
     span_dim,
     subspace_from_rows,
+    zero_subspace,
 )
 from .partitions import (
     Partition,
@@ -256,13 +257,71 @@ def check_kernel_in_subspace(f: Subspace, constraints: Matrix) -> list[str]:
          "kernel_in_subspace dimension off"))
 
 
-def check_span_cache(members: list[Subspace]) -> list[str]:
-    """SpanRankCache.rank equals the direct span dimension on every mask."""
-    cache = SpanRankCache(members)
-    return _failed(*(
-        (cache.rank(mask) == span_dim([f for i, f in enumerate(members) if mask >> i & 1]),
-         f"span cache disagrees with direct span on mask {mask}")
-        for mask in range(1 << len(members))))
+def sample_orders(n: int) -> list[list[int]]:
+    """A few fixed orders of range(n): identity, reversed, evens then odds, a rotation."""
+    ident = list(range(n))
+    return [ident, ident[::-1], ident[::2] + ident[1::2], ident[n // 2:] + ident[:n // 2]]
+
+
+def _prefix_masks(order: list[int]) -> list[int]:
+    masks, mask = [], 0
+    for i in order:
+        mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
+def check_span_cache(members: list[Subspace], seed: Subspace | None = None) -> list[str]:
+    """SpanRankCache against direct spans: rank on every mask, prefix_ranks along the
+    sample orders, and subspace (value and int_rows) on every mask.
+
+    seed, when given, supplies the cache's seed rows.  One cache walks the
+    orders first and then scans every mask; another scans first and then
+    walks, so each way of building states is checked on states the other
+    built.  Both then read every mask's subspace twice, largest mask first and
+    then smallest first, so a read that changed a state shared with another
+    mask shows up in that mask's answer.
+    """
+    space = seed or members[0]
+    fixed = [seed] if seed else []
+    masks = range(1 << len(members))
+
+    def selected(mask: int) -> list[Subspace]:
+        return fixed + [f for i, f in enumerate(members) if mask >> i & 1]
+
+    def direct_span(mask: int) -> Subspace:
+        rows = [row for f in selected(mask) for row in f.basis.rows]
+        if not rows:
+            return zero_subspace(space.field, space.ambient_dim)
+        return subspace_from_rows(space.field, space.ambient_dim, rows)
+
+    def walk(cache: SpanRankCache, label: str) -> list[tuple[bool, str]]:
+        return [(cache.prefix_ranks(order) ==
+                 [span_dim(selected(m)) for m in _prefix_masks(order)],
+                 f"prefix_ranks on {label} cache disagrees with direct span along {order}")
+                for order in sample_orders(len(members))]
+
+    def scan(cache: SpanRankCache, label: str) -> list[tuple[bool, str]]:
+        return [(cache.rank(mask) == span_dim(selected(mask)),
+                 f"span cache ({label}) disagrees with direct span on mask {mask}")
+                for mask in masks]
+
+    def read(cache: SpanRankCache, label: str) -> list[tuple[bool, str]]:
+        checks = []
+        for mask in [*reversed(masks), *masks]:
+            got, want = cache.subspace(mask), direct_span(mask)
+            checks.append((got == want and got.int_rows == want.int_rows,
+                           f"span cache ({label}) subspace differs from direct span "
+                           f"on mask {mask}"))
+        return checks
+
+    def new_cache() -> SpanRankCache:
+        return SpanRankCache(members, seed.basis.rows if seed else (),
+                             space.field, space.ambient_dim)
+
+    walked, scanned = new_cache(), new_cache()
+    return _failed(*walk(walked, "fresh"), *scan(walked, "walked"), *read(walked, "walked"),
+                   *scan(scanned, "fresh"), *walk(scanned, "scanned"), *read(scanned, "scanned"))
 
 
 def check_unique_minimizer(family: SubspaceFamily, c) -> list[str]:
@@ -288,11 +347,12 @@ def check_engine_matches_bruteforce(family: SubspaceFamily, c) -> list[str]:
         for backend, r in fast.items()))
 
 
-def check_insertion_order(family: SubspaceFamily, c, perm: list[int]) -> list[str]:
+def check_insertion_order(family: SubspaceFamily, c, perm: list[int],
+                          backend: str | None = None) -> list[str]:
     """rho of the members taken in order perm, relabeled back, equals rho of the family."""
-    reference = rho(family, c)
+    reference = rho(family, c, backend=backend)
     result = rho(SubspaceFamily(family.field, family.ambient_dim,
-                                tuple(family[i] for i in perm)), c)
+                                tuple(family[i] for i in perm)), c, backend=backend)
     relabeled = result.partition.relabel({j: perm[j] for j in range(len(perm))})
     return _failed(((result.value, relabeled) == (reference.value, reference.partition),
                     f"insertion order {perm} changed the result at c={c}"))
@@ -324,13 +384,30 @@ def check_minimizer_lattice(oracle: SubmodularOracle) -> list[str]:
 
 
 def check_insertion_oracle(hat: SubspaceFamily, member: Subspace, c) -> list[str]:
-    """Insertion oracle: submodular, a minimizer lattice, minimum == rho_c(hat + member)."""
+    """Insertion oracle: submodular, a minimizer lattice, minimum == rho_c(hat + member),
+    and eval_prefixes along sample orders equal to a fresh oracle's eval_mask."""
     oracle = insertion_oracle(hat, member, c)
     joint = SubspaceFamily(hat.field, hat.ambient_dim, hat.members + (member,))
+    chained = insertion_oracle(hat, member, c)
+    fresh = insertion_oracle(hat, member, c)
     return _failed(
         (verify_submodular(oracle), "insertion oracle not submodular"),
         (minimize_exhaustive(oracle).value == rho_bruteforce(joint, c).value,
-         "oracle minimum != joint partition rank")) + check_minimizer_lattice(oracle)
+         "oracle minimum != joint partition rank"),
+        *((chained.eval_prefixes(order) == [fresh.eval_mask(m) for m in _prefix_masks(order)],
+           f"eval_prefixes along {order} != eval_mask")
+          for order in sample_orders(len(hat)))) + check_minimizer_lattice(oracle)
+
+
+def check_hat_spans(state: EngineState, family: SubspaceFamily) -> list[str]:
+    """Each hat member equals the canonical span of its block's original rows, int_rows too."""
+    failures = []
+    for member, block in zip(state.hat, state.blocks):
+        direct = subspace_from_rows(family.field, family.ambient_dim,
+                                    [row for i in sorted(block) for row in family[i].basis.rows])
+        failures += _failed((member == direct and member.int_rows == direct.int_rows,
+                             f"hat member for block {sorted(block)} is not its block's span"))
+    return failures
 
 
 def check_rigidity_pebble(graph: Graph) -> list[str]:
@@ -478,6 +555,8 @@ def suite_partitions(seed: int) -> list[str]:
             dims = [f.dim for f in family]
             total_span = span_dim(list(family.members))
             check.extend(check_span_cache(list(family.members)), f"trial {trial}")
+            check.extend(check_span_cache(list(family.members[1:]), family[0]),
+                         f"trial {trial}, seeded")
             for c in C_VALUES:
                 singles = rho_of_partition(family, Partition.singletons(n), c)
                 check.ok(singles == sum(Fraction(d) - c for d in dims),
@@ -564,17 +643,20 @@ def suite_engine(seed: int) -> list[str]:
                      f"c=0 shortcut wrong ({where})")
             check.ok(rho(family, -1).value == Fraction(span_dim(list(family.members))) + 1,
                      f"c=-1 shortcut wrong ({where})")
-            # stepwise fold: hat discipline and oracle consistency at every insertion
+            # stepwise fold: hat discipline, merged spans and oracle consistency
+            # at every insertion
             c = Fraction(1)
-            state = empty_state(field, ambient, c)
-            for i, member in enumerate(family):
-                if state.hat:
-                    check.extend(check_insertion_oracle(state.hat_family(), member, c),
-                                 f"{where}, step {i}")
-                state = insert_subspace(state, member, i)
-                hat_check = rho_bruteforce(state.hat_family(), c)
-                check.ok(hat_check.partition.n_blocks == len(state.hat),
-                         f"hat not all singletons ({where}, step {i})")
+            for backend in BACKENDS:
+                state = empty_state(field, ambient, c)
+                for i, member in enumerate(family):
+                    if state.hat and backend == "exhaustive":
+                        check.extend(check_insertion_oracle(state.hat_family(), member, c),
+                                     f"{where}, step {i}")
+                    state = insert_subspace(state, member, i, backend=backend)
+                    check.extend(check_hat_spans(state, family), f"{where}, {backend}, step {i}")
+                    hat_check = rho_bruteforce(state.hat_family(), c)
+                    check.ok(hat_check.partition.n_blocks == len(state.hat),
+                             f"hat not all singletons ({where}, {backend}, step {i})")
     empty = SubspaceFamily(FieldSpec.rationals(), 3, ())
     result = rho(empty, 1)
     check.ok(result.value == 0 and result.partition.n_blocks == 0,

@@ -9,15 +9,16 @@ import pytest
 
 from genrank.engine import (
     AUTO_EXHAUSTIVE_LIMIT,
+    EngineState,
     empty_state,
     insert_subspace,
     insertion_oracle,
     rho,
 )
-from genrank.errors import InternalInvariantError, MixedAmbient
+from genrank.errors import InternalInvariantError, MixedAmbient, NotConverged
 from genrank.fields import FieldSpec
 from genrank.linalg import span_dim, subspace_from_rows
-from genrank.partitions import Partition, SubspaceFamily, rho_bruteforce
+from genrank.partitions import Partition, SubspaceFamily, rho_bruteforce, rho_of_partition
 from genrank.verify import (
     C_VALUES,
     check_engine_matches_bruteforce,
@@ -167,3 +168,35 @@ def test_check_hat_rejects_equal_spans_at_or_above_c():
         _check_hat([p, p], Fraction(1))
     l = line(Q, 3, [1, 0, 0])
     _check_hat([l, l], Fraction(2))  # below c: allowed
+
+
+def test_insertion_failures_name_the_insertion(monkeypatch):
+    import genrank.sfm as sfm_module
+
+    # a hat that breaks the engine's invariant: two equal planes at c = 2
+    plane = subspace_from_rows(Q, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    state = EngineState(Fraction(2), 4, Q, (plane, plane), (frozenset({0}), frozenset({1})))
+    g = line(Q, 4, [0, 0, 0, 1])
+    with pytest.raises(InternalInvariantError) as info:
+        insert_subspace(state, g, 7)
+    assert type(info.value) is InternalInvariantError
+    message = str(info.value)
+    assert "coincide with dimension 2 >= c = 2" in message
+    assert message.endswith("(inserting member 7 into a hat of 2, c = 2, backend exhaustive)")
+    monkeypatch.setattr(sfm_module, "_WOLFE_MAX_STEPS", 0)
+    state = empty_state(Q, 4, Fraction(1, 2))
+    state = insert_subspace(state, plane, 0)
+    with pytest.raises(NotConverged, match=r"\(inserting member 3 into a hat of 1, "
+                                           r"c = 1/2, backend mnp\)$"):
+        insert_subspace(state, g, 3, backend="mnp")
+
+
+def test_mnp_at_two_hundred_members():
+    # the north-star family size: 200 members of Q^12, hats of up to 75 members
+    family = random_family(Q, 12, 200, random.Random(200), max_dim=3)
+    c = Fraction(3, 2)
+    result = rho(family, c, backend="mnp")
+    assert rho_of_partition(family, result.partition, c) == result.value
+    perm = list(range(200))
+    random.Random(0).shuffle(perm)
+    assert check_insertion_order(family, c, perm, backend="mnp") == []

@@ -25,7 +25,7 @@ from genrank.linalg import (
     zero_subspace,
 )
 from genrank.partitions import SpanRankCache
-from genrank.verify import check_kernel_in_subspace, check_rref
+from genrank.verify import check_kernel_in_subspace, check_rref, sample_orders
 
 Q = FieldSpec.rationals()
 FP = FieldSpec.prime(10007)
@@ -252,3 +252,11 @@ def test_span_rank_cache_matches_minor_rank(field):
             rows = [r for i, rs in enumerate(raw) if mask >> i & 1 for r in rs]
             assert plain.rank(mask) == minor_rank(field, rows)
             assert seeded.rank(mask) == minor_rank(field, seed_raw + rows)
+        # greedy-style chains on fresh caches, seeded and not
+        for order in sample_orders(len(members)):
+            prefixes = [[r for i in order[:k] for r in raw[i]] for k in range(1, len(order) + 1)]
+            assert SpanRankCache(members, field=field, ncols=ambient).prefix_ranks(order) == [
+                minor_rank(field, rows) for rows in prefixes]
+            assert SpanRankCache(members, seed_rows=seed_raw, field=field,
+                                 ncols=ambient).prefix_ranks(order) == [
+                minor_rank(field, seed_raw + rows) for rows in prefixes]

@@ -106,6 +106,7 @@ def test_span_rank_cache_matches_direct():
         for _ in range(10):
             family = random_family(field, rng.randint(3, 6), rng.randint(1, 6), rng)
             assert check_span_cache(list(family.members)) == []
+            assert check_span_cache(list(family.members[1:]), family[0]) == []
 
 
 def test_span_rank_cache_seed_rows():

@@ -160,6 +160,16 @@ def test_mnp_rank_at_thirty_vertices():
     assert 2 * graph.n - 3 == 57 and laman_oracle(graph)
 
 
+def test_mnp_rank_at_fifty_vertices():
+    # the north-star size: 231 edges, hats of up to 40 members
+    graph = random_graph(50, random.Random(50), .2)
+    assert len(graph.edges) == 231
+    assert rigidity_rank_2d(graph, backend="mnp") == 97
+    assert rigidity_randomized_rank(graph, 2, rng=random.Random(0)) == 97
+    # check_rigidity_pebble's condition at the mnp rank
+    assert (97 == 2 * graph.n - 3) == laman_oracle(graph)
+
+
 def test_overbraced_graph_rank_caps():
     # K5 has 10 edges but plane rank caps at 2n-3 = 7
     k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
