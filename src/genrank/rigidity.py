@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engine import rho
 from .errors import BadOrder, BadVertex, DuplicateEdge, LoopEdge, TooFewVertices
@@ -106,9 +106,17 @@ def symbolic_rigidity_row(graph: Graph, t: int, edge: Sequence[int], x: Sequence
     return tuple(row)
 
 
-def rigidity_randomized_rank(graph: Graph, t: int, prime: int = DEFAULT_PRIME, trials: int = 5,
-                             rng: random.Random | None = None) -> int:
-    """randomized_rank of the rigidity matrix at random placements over F_prime."""
+def rigidity_evaluation(graph: Graph, t: int, prime: int = DEFAULT_PRIME
+                        ) -> tuple[Callable[[random.Random], Matrix], FieldSpec, int]:
+    """The rigidity matrix at a random placement over F_prime, its field and rank bound.
+
+    A placement's rows are some of the complete graph's rows at that
+    placement, and no placement ranks above the complete graph's generic
+    rank: for n >= t+1 that is required_rank(n, t), because the trivial
+    motions (t translations, t(t-1)/2 rotations) span the kernel at a
+    generic placement.  So the bound is min(m, required_rank(n, t)) for m
+    edges, and m when n <= t.
+    """
     if t < 1:
         raise BadOrder(f"rigidity dimension t must be at least 1, got {t}")
     field = FieldSpec.prime(prime)
@@ -119,7 +127,21 @@ def rigidity_randomized_rank(graph: Graph, t: int, prime: int = DEFAULT_PRIME, t
                      for e in graph.edges)
         return Matrix(field, rows, t * graph.n)
 
-    return randomized_rank(evaluate, field, trials, rng)
+    m = len(graph.edges)
+    bound = min(m, required_rank(graph.n, t)) if graph.n >= t + 1 else m
+    return evaluate, field, bound
+
+
+def rigidity_randomized_rank(graph: Graph, t: int, prime: int = DEFAULT_PRIME, trials: int = 5,
+                             rng: random.Random | None = None) -> int:
+    """randomized_rank of the rigidity matrix at random placements over F_prime.
+
+    `trials` is a maximum: evaluation stops at the first placement whose
+    rank reaches min(m, t*n - t(t+1)/2) (just m when n <= t), a bound no
+    placement exceeds (see `rigidity_evaluation`).
+    """
+    evaluate, field, bound = rigidity_evaluation(graph, t, prime)
+    return randomized_rank(evaluate, field, trials, rng, bound=bound)
 
 
 def required_rank(n: int, t: int) -> int:
@@ -132,9 +154,10 @@ def rigidity_report(graph: Graph, t: int = 2, backend: str | None = None,
     """Rank, required rank, rigidity verdict and degrees of freedom.
 
     t=2 is answered deterministically through the partition rank; t >= 3 has
-    no known deterministic reduction, so the rank is the best of `trials`
-    random evaluations over F_prime, with prime above the edge count (a
-    one-sided lower bound that is correct with high probability).
+    no known deterministic reduction, so the rank is the best of at most
+    `trials` random evaluations over F_prime, with prime above the edge
+    count (a one-sided lower bound that is correct with high probability;
+    the trials stop once one reaches min(m, required)).
     """
     if t < 2:
         raise BadOrder(f"rigidity dimension t must be at least 2, got {t}")

@@ -251,12 +251,18 @@ def evaluate_rk_matrix(inst: RkInstance, points: Sequence[Sequence]) -> Matrix:
 
 
 def randomized_rank(evaluate: Callable[[random.Random], Matrix], field: FieldSpec,
-                    trials: int = 5, rng: random.Random | None = None) -> int:
-    """Maximum exact rank over seeded random evaluations in a prime field.
+                    trials: int = 5, rng: random.Random | None = None, *,
+                    bound: int | None = None) -> int:
+    """Maximum exact rank over at most `trials` seeded random evaluations in a prime field.
 
     The field characteristic must exceed the number of matrix rows for the
     standard union-bound guarantee; each trial draws its randomness from an
-    independent seed-derived stream.
+    independent seed-derived stream.  `bound` is a rank that no evaluation
+    can exceed (a structural bound on the generic rank, which every
+    evaluation is a specialization of): once a trial reaches it no later
+    trial can raise the maximum, so the remaining trials are skipped, and a
+    trial above it raises InternalInvariantError.  The seeds of the skipped
+    trials are still drawn, so `rng` ends in the same state either way.
     """
     if trials < 1:
         raise BadTrials(f"randomized rank needs at least one trial, got {trials}")
@@ -264,25 +270,52 @@ def randomized_rank(evaluate: Callable[[random.Random], Matrix], field: FieldSpe
         raise CharTooSmall("randomized rank needs a prime field")
     rng = rng or random.Random(0)
     best = 0
-    for _ in range(trials):
+    for trial in range(1, trials + 1):
         child = random.Random(rng.getrandbits(64))
         matrix = evaluate(child)
         if field.p <= matrix.nrows:
             raise CharTooSmall(
                 f"characteristic {field.p} is not above the row count {matrix.nrows}")
-        best = max(best, rank(matrix))
+        rk = rank(matrix)
+        if bound is not None:
+            if rk > bound:
+                raise InternalInvariantError(
+                    f"trial {trial} has rank {rk}, above the structural bound {bound}")
+            if rk == bound:
+                for _ in range(trials - trial):
+                    rng.getrandbits(64)
+                return rk
+        best = max(best, rk)
     return best
+
+
+def rk_evaluation(inst: RkInstance, prime: int = DEFAULT_PRIME
+                  ) -> tuple[Callable[[random.Random], Matrix], FieldSpec, int]:
+    """The order-k matrix at k-1 random points (Q moves to F_prime), its field and rank bound.
+
+    Every row is orthogonal to the k-1 points, so at generic points the rank
+    is at most d-k+1 (and 0 once k > d, where every row vanishes); no
+    evaluation ranks above the generic rank, nor above the row count.
+    """
+    if inst.field.p is None:
+        inst = rk_to_prime(inst, prime)
+
+    def evaluate(r: random.Random) -> Matrix:
+        return evaluate_rk_matrix(
+            inst, [sample_vector(inst.field, inst.ambient_dim, r) for _ in range(inst.order - 1)])
+
+    return evaluate, inst.field, min(len(inst.tensors), max(0, inst.ambient_dim - inst.order + 1))
 
 
 def rk_randomized_rank(inst: RkInstance, prime: int = DEFAULT_PRIME, trials: int = 5,
                        rng: random.Random | None = None) -> int:
-    """randomized_rank of the order-k matrix at k-1 random points; Q moves to F_prime."""
-    if inst.field.p is None:
-        inst = rk_to_prime(inst, prime)
-    return randomized_rank(
-        lambda r: evaluate_rk_matrix(
-            inst, [sample_vector(inst.field, inst.ambient_dim, r) for _ in range(inst.order - 1)]),
-        inst.field, trials, rng)
+    """randomized_rank of the order-k matrix at k-1 random points; Q moves to F_prime.
+
+    `trials` is a maximum: evaluation stops at the first trial whose rank
+    reaches min(m, d-k+1) for m tensors in K^d (see `rk_evaluation`).
+    """
+    evaluate, field, bound = rk_evaluation(inst, prime)
+    return randomized_rank(evaluate, field, trials, rng, bound=bound)
 
 
 def split_to_planes(family: SubspaceFamily) -> SubspaceFamily:

@@ -9,9 +9,11 @@ run the same checks on their larger seeded sweeps.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
+from typing import Callable
 
 from .engine import EngineState, empty_state, insert_subspace, insertion_oracle, rho
 from .errors import GenrankError
@@ -45,6 +47,7 @@ from .rigidity import (
     Graph,
     laman_oracle,
     required_rank,
+    rigidity_evaluation,
     rigidity_family,
     rigidity_randomized_rank,
     rigidity_rank_2d,
@@ -62,6 +65,8 @@ from .symbolic import (
     RkInstance,
     intersect_with_codim_k,
     intersect_with_hyperplane,
+    randomized_rank,
+    rk_evaluation,
     rk_randomized_rank,
     rk_rank,
     split_to_planes,
@@ -439,6 +444,26 @@ def check_symbolic_rank(inst: RkInstance, trials: int, rng: random.Random) -> li
                     f"order {inst.order}: deterministic {deterministic} != randomized {randomized}"))
 
 
+def check_randomized_bound(evaluate: Callable[[random.Random], Matrix], field: FieldSpec,
+                           bound: int, trials: int, rng: random.Random) -> list[str]:
+    """Every one of `trials` evaluations ranks at most `bound`, their maximum equals
+    randomized_rank stopped at `bound`, and both leave the rng in one state.
+
+    Draws only from copies of rng's state, so rng itself is not advanced.
+    """
+    every = copy.copy(rng)
+    ranks = [rank(evaluate(random.Random(every.getrandbits(64)))) for _ in range(trials)]
+    above = [(trial, rk) for trial, rk in enumerate(ranks, start=1) if rk > bound]
+    if above:
+        return [f"(trial, rank) {above} above the structural bound {bound}"]
+    stopped = copy.copy(rng)
+    early = randomized_rank(evaluate, field, trials, stopped, bound=bound)
+    return _failed(
+        (early == max(ranks), f"rank stopped at bound {bound} is {early}, "
+                              f"the maximum over all {trials} trials {max(ranks)}"),
+        (stopped.getstate() == every.getstate(), "stopping early left the rng in another state"))
+
+
 def check_w_basis(basis: IntersectionBasis) -> list[str]:
     """w-vectors lie in the subspace, have zero dots, and span its constraint kernel."""
     f, constraints = basis.subspace, basis.constraints
@@ -671,10 +696,12 @@ def suite_symbolic(seed: int) -> list[str]:
     for trial in range(8):
         ambient = rng.randint(3, 6)
         inst = random_rk_instance(rational, ambient, 2, rng.randint(1, 6), rng)
+        check.extend(check_randomized_bound(*rk_evaluation(inst), 3, rng), f"trial {trial}")
         check.extend(check_symbolic_rank(inst, 3, rng), f"trial {trial}")
     for trial in range(4):
         ambient = rng.randint(4, 6)
         inst = random_rk_instance(rational, ambient, 3, rng.randint(1, 4), rng)
+        check.extend(check_randomized_bound(*rk_evaluation(inst), 3, rng), f"trial {trial}")
         check.extend(check_symbolic_rank(inst, 3, rng), f"trial {trial}")
     for field in (rational, small_prime):
         for trial in range(10):
@@ -725,7 +752,11 @@ def suite_rigidity(seed: int) -> list[str]:
             check.extend(check_rigidity_pebble(graph), "census")
     for trial in range(6):
         n = rng.randint(4, 6)
-        check.extend(check_rigidity_pebble(random_graph(n, rng)), f"trial {trial}")
+        graph = random_graph(n, rng)
+        check.extend(check_rigidity_pebble(graph), f"trial {trial}")
+        for t in (2, 3):
+            check.extend(check_randomized_bound(*rigidity_evaluation(graph, t), 5, rng),
+                         f"trial {trial}, t={t}")
     k4 = NAMED_GRAPHS[3][1]
     report3 = rigidity_report(k4, t=3, trials=3, seed=rng.randrange(2**32))
     check.ok(report3.rank == 6 and report3.rigid and report3.method == "randomized",

@@ -146,7 +146,7 @@ def test_large_ground_set_uses_mnp(monkeypatch):
     rng = random.Random(47)
     family = random_family(Q, 5, 6, rng)
     assert rho(family, 1).value == rho_bruteforce(family, 1).value
-    assert AUTO_EXHAUSTIVE_LIMIT == 16  # public constant untouched
+    assert AUTO_EXHAUSTIVE_LIMIT == 5  # public constant untouched
 
 
 def test_engine_state_value_and_hat_family():

@@ -21,6 +21,7 @@ from genrank.rigidity import (
     edge_subspace,
     laman_oracle,
     required_rank,
+    rigidity_evaluation,
     rigidity_family,
     rigidity_randomized_rank,
     rigidity_rank_2d,
@@ -30,6 +31,7 @@ from genrank.rigidity import (
 from genrank.verify import (
     NAMED_GRAPHS,
     check_named_graph,
+    check_randomized_bound,
     check_rigidity_pebble,
     graphs_up_to_iso,
     random_graph,
@@ -102,6 +104,37 @@ def test_k4_three_dimensions_randomized():
     assert rigidity_report(K4, t=3, seed=0) == report
 
 
+def test_randomized_rank_stops_at_structural_bound(monkeypatch):
+    import genrank.symbolic as symbolic_module
+
+    calls = []
+    monkeypatch.setattr(symbolic_module, "rank",
+                        lambda m, rank=symbolic_module.rank: calls.append(m) or rank(m))
+    k4_plus_edge = Graph.from_edges(6, list(K4.edges) + [(4, 5)])
+    # (graph, t, rank, trials evaluated): K4 reaches min(m, t*n - t(t+1)/2) at
+    # once in 2-D and 3-D; K4 plus a disjoint edge has rank 6 < min(7, 9) in 2-D
+    for graph, t, rk, evaluated in ((K4, 2, 5, 1), (K4, 3, 6, 1), (k4_plus_edge, 2, 6, 5)):
+        calls.clear()
+        rng = random.Random(4)
+        assert rigidity_randomized_rank(graph, t, trials=5, rng=rng) == rk
+        assert len(calls) == evaluated
+        all_drawn = random.Random(4)
+        for _ in range(5):
+            all_drawn.getrandbits(64)
+        assert rng.getstate() == all_drawn.getstate()
+
+
+def test_rigidity_early_stop_matches_every_trial():
+    rng = random.Random(89)
+    for t in (2, 3):
+        for _ in range(12):
+            graph = random_graph(rng.randint(2, 8), rng, rng.choice((.3, .6, .9)))
+            evaluate, field, bound = rigidity_evaluation(graph, t)
+            m = len(graph.edges)
+            assert bound == (min(m, required_rank(graph.n, t)) if graph.n > t else m)
+            assert check_randomized_bound(evaluate, field, bound, 4, rng) == []
+
+
 def test_randomized_report_needs_prime_above_edge_count():
     k5 = Graph.from_edges(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     with pytest.raises(CharTooSmall):
@@ -155,9 +188,15 @@ def test_mnp_rank_at_thirty_vertices():
     assert len(graph.edges) == 134
     assert rigidity_rank_2d(graph, backend="mnp") == 57
     assert rigidity_randomized_rank(graph, 2, rng=random.Random(0)) == 57
-    # check_rigidity_pebble at the mnp rank (its default backend sends hats of
-    # up to 16 members to the 2^n scan): rank 2n - 3, and the pebble game accepts
-    assert 2 * graph.n - 3 == 57 and laman_oracle(graph)
+    assert check_rigidity_pebble(graph) == [] and laman_oracle(graph)
+
+
+def test_default_backend_rank_at_twenty_vertices():
+    # the default backend sends hats above AUTO_EXHAUSTIVE_LIMIT to mnp, so
+    # this graph's hats of up to 19 members take about 0.2 s, not seconds
+    graph = random_graph(20, random.Random(20), .4)
+    assert len(graph.edges) == 92
+    assert rigidity_rank_2d(graph) == 37 == rigidity_randomized_rank(graph, 2)
 
 
 def test_mnp_rank_at_fifty_vertices():

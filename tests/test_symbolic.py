@@ -14,6 +14,7 @@ from genrank.errors import (
     CharTooSmall,
     DimensionMismatch,
     DimTooSmall,
+    InternalInvariantError,
 )
 from genrank.fields import FieldSpec
 from genrank.jsonio import load_rk
@@ -25,12 +26,14 @@ from genrank.symbolic import (
     intersect_with_codim_k,
     intersect_with_hyperplane,
     randomized_rank,
+    rk_evaluation,
     rk_family,
     rk_rank,
     rk_to_prime,
     split_to_planes,
 )
 from genrank.verify import (
+    check_randomized_bound,
     check_split_to_planes,
     check_symbolic_rank,
     intersection_dim,
@@ -236,6 +239,62 @@ def test_randomized_rank_deterministic_for_seed():
     a = randomized_rank(evaluate, fp, trials=4, rng=random.Random(6))
     b = randomized_rank(evaluate, fp, trials=4, rng=random.Random(6))
     assert a == b == 2
+
+
+def _draws_after(seed, trials):
+    """The rng state after every trial's seed is drawn, early stop or not."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        rng.getrandbits(64)
+    return rng.getstate()
+
+
+def test_randomized_rank_stops_at_bound():
+    fp = FieldSpec.prime(10007)
+    calls = []
+    evaluate = lambda r: calls.append(r) or Matrix.from_rows(
+        fp, [sample_vector(fp, 3, r) for _ in range(2)], 3)
+    rng = random.Random(6)
+    assert randomized_rank(evaluate, fp, trials=4, rng=rng, bound=2) == 2
+    assert len(calls) == 1
+    assert rng.getstate() == _draws_after(6, 4)
+    # a bound no trial reaches: every trial runs, the rng ends in the same state
+    calls.clear()
+    rng = random.Random(6)
+    assert randomized_rank(evaluate, fp, trials=4, rng=rng, bound=3) == 2
+    assert len(calls) == 4
+    assert rng.getstate() == _draws_after(6, 4)
+
+
+def test_randomized_rank_above_bound_is_an_invariant_failure():
+    fp = FieldSpec.prime(10007)
+    evaluate = lambda r: Matrix.from_rows(fp, [(1, 0), (0, 1)], 2)
+    with pytest.raises(InternalInvariantError, match="trial 1 has rank 2, above .* bound 1"):
+        randomized_rank(evaluate, fp, trials=3, bound=1)
+
+
+def test_rk_randomized_rank_stops_at_bound(monkeypatch):
+    import genrank.symbolic as symbolic_module
+
+    calls = []
+    monkeypatch.setattr(symbolic_module, "rank",
+                        lambda m, rank=symbolic_module.rank: calls.append(m) or rank(m))
+    # three generic pairs in K^3: rank min(3, 3 - 2 + 1) = 2 on the first trial
+    inst = random_rk_instance(Q, 3, 2, 3, random.Random(5))
+    rng = random.Random(9)
+    assert symbolic_module.rk_randomized_rank(inst, trials=5, rng=rng) == rk_rank(inst) == 2
+    assert len(calls) == 1
+    assert rng.getstate() == _draws_after(9, 5)
+
+
+def test_rk_early_stop_matches_every_trial():
+    rng = random.Random(67)
+    for k in (2, 3, 4):
+        for n in range(max(2, k - 1), 7):
+            inst = random_rk_instance(Q, n, k, rng.randint(0, 5), rng, bound=3)
+            evaluate, field, bound = rk_evaluation(inst)
+            assert bound == min(len(inst.tensors), max(0, n - k + 1))
+            assert check_randomized_bound(evaluate, field, bound, 4, rng) == []
 
 
 def test_split_to_planes():
