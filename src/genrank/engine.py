@@ -44,7 +44,7 @@ class InsertionOracle(SubmodularOracle):
         super().__init__(len(base_members))
         self.c = c
         self.g = g
-        self._cache = SpanRankCache(base_members, seed_rows=g.basis.rows,
+        self._cache = SpanRankCache(base_members, seed_rows=g.rows,
                                     field=g.field, ncols=g.ambient_dim)
         self._dims = [m.dim for m in base_members]
         self._dim_total = sum(self._dims)

@@ -10,6 +10,7 @@ operation remains exact; elimination uses its own integer kernel per field
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadPrime, BadScalar
@@ -43,6 +44,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """The rationals (p is None) or the prime field F_p.
 
@@ -50,16 +52,13 @@ class FieldSpec:
     and compare by modulus.
     """
 
-    __slots__ = ("p",)
+    p: int | None = None
 
-    def __init__(self, p: int | None = None):
+    def __post_init__(self):
+        p = self.p
         if p is not None:
             if not isinstance(p, int) or p >= (1 << 64) or not is_prime(p):
                 raise BadPrime(f"modulus {p!r} is not a word-sized prime")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":

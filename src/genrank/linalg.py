@@ -1,8 +1,9 @@
 """Exact matrices and canonical subspaces.
 
 Everything here is exact: no floats, no tolerances.  A subspace is stored as
-the reduced row echelon form of its generators with zero rows dropped, which
-makes subspace equality a syntactic comparison.
+the reduced row echelon form of its generators with zero rows dropped, each
+row scaled to integers (primitive with a positive pivot over Q), which makes
+subspace equality a syntactic comparison and is what the kernels take.
 
 Elimination has one integer kernel per field rather than one loop over
 FieldSpec operations: over F_p it works on canonical residues; over Q it
@@ -17,6 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -172,11 +174,6 @@ def _divide_pivots(rows: list) -> list[list[Fraction]]:
     return [[Fraction(x, row[col]) if x else zero for x in row] for col, row in rows]
 
 
-def _reduce_q(basis: list) -> list[list[Fraction]]:
-    """Reduced row echelon form of a Q echelon basis, nonzero rows only."""
-    return _divide_pivots(_back_substitute_q(basis))
-
-
 def _reduce_fp(p: int, basis: list) -> list[list[int]]:
     """Back-substitute an F_p echelon basis into reduced row echelon form, nonzero rows only.
 
@@ -195,19 +192,15 @@ def _reduce_fp(p: int, basis: list) -> list[list[int]]:
     return [[0] * col + tail for col, tail in basis]
 
 
-def _reduce(p: int | None, basis: list) -> list[list]:
-    """Reduced row echelon form of an echelon basis, over Q when p is None, else over F_p."""
-    return _reduce_q(basis) if p is None else _reduce_fp(p, basis)
-
-
 def _rref_q(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     """Reduced row echelon form over Q, nonzero rows only, fraction-free throughout."""
-    return _reduce_q(_echelon(None, rows))
+    return _divide_pivots(_back_substitute_q(_echelon(None, rows)))
 
 
 def _rref_rows(field: FieldSpec, rows: Sequence[Sequence]) -> list[list]:
     """Reduced row echelon form with the zero rows dropped, by the field's own kernel."""
-    return _reduce(field.p, _echelon(field.p, rows))
+    p = field.p
+    return _rref_q(rows) if p is None else _reduce_fp(p, _echelon(p, rows))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -285,108 +278,114 @@ def nullspace(m: Matrix) -> list[tuple]:
     return basis
 
 
-def _is_canonical(m: Matrix) -> bool:
-    """True iff m is in reduced row echelon form with no zero rows."""
-    prev = -1
-    pivots = []
-    for row in m.rows:
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None or lead <= prev or row[lead] != 1:
+def _is_canonical(field: FieldSpec, ambient_dim: int, rows) -> bool:
+    """True iff rows are a Subspace's stored form: see Subspace.
+
+    One pass per row collects its nonzero columns; each row's support must
+    then meet the set of pivot columns at its own lead only.
+    """
+    if type(rows) is not tuple:
+        return False
+    p = field.p
+    columns = range(ambient_dim)
+    supports = []
+    lead = -1
+    for row in rows:
+        if type(row) is not tuple or len(row) != ambient_dim or set(map(type, row)) != {int}:
             return False
-        pivots.append(lead)
-        prev = lead
-    for r, row in enumerate(m.rows):
-        for other, pc in enumerate(pivots):
-            if other != r and row[pc] != 0:
+        support = list(compress(columns, row))
+        if not support or support[0] <= lead:
+            return False
+        lead = support[0]
+        if p is None:
+            if row[lead] < 0 or gcd(*row) != 1:
                 return False
-    return True
+        elif row[lead] != 1 or min(row) < 0 or max(row) >= p:
+            return False
+        supports.append(support)
+    pivots = {support[0] for support in supports}
+    return all(len(pivots.intersection(support)) == 1 for support in supports)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of K^ambient_dim in canonical form.
+    """A subspace of K^ambient_dim, stored in one canonical form.
 
-    The basis matrix is in reduced row echelon form with no zero rows, so two
-    equal subspaces are syntactically equal.  A zero-row basis denotes the
-    zero subspace; families reject it, intersections may produce it.
+    rows is a tuple of int tuples of width ambient_dim: the reduced row
+    echelon form of the span with no zero rows (leads strictly increasing,
+    each pivot column zero in every other row), each row scaled over Q to its
+    primitive integer vector with a positive pivot, and over F_p kept as
+    residues in [0, p) with pivot 1.  Equal subspaces have equal rows.  basis
+    is the reduced row echelon form as a Matrix over the field, derived from
+    rows on first read.  No rows denote the zero subspace; families reject
+    it, intersections may produce it.
     """
 
     ambient_dim: int
-    basis: Matrix
+    field: FieldSpec
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.basis.ncols != self.ambient_dim:
+        if not _is_canonical(self.field, self.ambient_dim, self.rows):
             raise DimensionMismatch(
-                f"basis width {self.basis.ncols} != ambient {self.ambient_dim}")
-        if not _is_canonical(self.basis):
-            raise DimensionMismatch("subspace basis is not in reduced row echelon form")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.basis.field
+                f"rows are not the canonical form of a subspace of K^{self.ambient_dim}")
 
     @cached_property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The basis rows as the elimination kernels take them, computed once.
-
-        Primitive integer vectors over Q, the residues themselves over F_p.
-        """
+    def basis(self) -> Matrix:
+        """The reduced row echelon form over the field, computed once on first read."""
+        rows = self.rows
         if self.field.p is None:
-            return tuple(tuple(_primitive(r)) for r in self.basis.rows)
-        return self.basis.rows
+            rows = tuple(map(tuple, _divide_pivots([(_lead(row), row) for row in rows])))
+        return Matrix(self.field, rows, self.ambient_dim)
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.field, self.rows))
 
     def __hash__(self) -> int:
         return self._hash
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return self.basis.nrows == 0
+        return not self.rows
 
     def contains(self, vector: Sequence) -> bool:
         """Exact membership test."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        stacked = Matrix(self.field, self.basis.rows + (tuple(vector),), self.ambient_dim)
+        stacked = Matrix(self.field, self.rows + (tuple(vector),), self.ambient_dim)
         return rank(stacked) == self.dim
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, Matrix(field, (), ambient_dim))
+    return Subspace(ambient_dim, field, ())
 
 
 def subspace_from_rows(field: FieldSpec, ambient_dim: int, rows: Iterable[Sequence]) -> Subspace:
     """Canonicalize spanning rows into a Subspace; rejects the zero span."""
-    mat = Matrix.from_rows(field, rows, ambient_dim)
-    reduced, rk = rref(mat)
-    if rk == 0:
+    basis = _echelon(field.p, Matrix.from_rows(field, rows, ambient_dim).rows)
+    if not basis:
         raise AllRowsZero("the given rows span only the zero subspace")
-    return Subspace(ambient_dim, reduced)
+    return _subspace_of_echelon(field, ambient_dim, basis)
 
 
 def _subspace_of_echelon(field: FieldSpec, ambient_dim: int, basis: list) -> Subspace:
-    """The span of an echelon basis (an elimination state) as a canonical Subspace.
+    """The span of a nonempty echelon basis (an elimination state) as a Subspace.
 
-    Over Q the back-substituted integer rows, signed so each pivot is positive,
-    are exactly the primitive forms of the RREF rows, so they become the new
-    Subspace's int_rows as they are.
+    Every nonzero Subspace is built here.  Over Q the back-substituted integer
+    rows, signed so each pivot is positive, are the stored form as they are;
+    over F_p the back-substituted residue rows are.
     """
-    if field.p is not None:
-        reduced = tuple(map(tuple, _reduce_fp(field.p, basis)))
-        return Subspace(ambient_dim, Matrix(field, reduced, ambient_dim))
-    rows = _back_substitute_q(basis)
-    reduced = tuple(map(tuple, _divide_pivots(rows)))
-    subspace = Subspace(ambient_dim, Matrix(field, reduced, ambient_dim))
-    object.__setattr__(subspace, "int_rows", tuple(
-        tuple(row) if row[col] > 0 else tuple(-x for x in row) for col, row in rows))
-    return subspace
+    if field.p is None:
+        rows = [row if row[col] > 0 else [-x for x in row]
+                for col, row in _back_substitute_q(basis)]
+    else:
+        rows = _reduce_fp(field.p, basis)
+    return Subspace(ambient_dim, field, tuple(map(tuple, rows)))
 
 
 def _check_same_space(subspaces: Sequence[Subspace]):
@@ -404,7 +403,7 @@ def span_dim(subspaces: Sequence[Subspace]) -> int:
     _check_same_space(subspaces)
     rows = []
     for s in subspaces:
-        rows.extend(s.basis.rows)
+        rows.extend(s.rows)
     if not rows:
         return 0
     return rank(Matrix(subspaces[0].field, tuple(rows), subspaces[0].ambient_dim))
@@ -427,7 +426,7 @@ def kernel_in_subspace(f: Subspace, constraints: Matrix) -> Subspace:
         return f
     m = f.dim
     cbt = tuple(
-        tuple(dot(field, crow, brow) for brow in f.basis.rows)
+        tuple(dot(field, crow, brow) for brow in f.rows)
         for crow in constraints.rows
     )
     ys = nullspace(Matrix(field, cbt, m))
@@ -436,7 +435,7 @@ def kernel_in_subspace(f: Subspace, constraints: Matrix) -> Subspace:
     rows = []
     for y in ys:
         vec = [field.zero()] * f.ambient_dim
-        for coef, brow in zip(y, f.basis.rows):
+        for coef, brow in zip(y, f.rows):
             if coef != 0:
                 for j, x in enumerate(brow):
                     if x != 0:

@@ -129,9 +129,9 @@ class SpanRankCache:
 
     A state is an echelon basis from linalg's integer kernels: primitive
     integer rows eliminated fraction-free over Q, residue rows with one
-    reduction mod p per entry over F_p.  Member rows come from each member's
-    Subspace.int_rows, which are computed once per Subspace and so carry over
-    from one cache to the next; seed rows are converted here.
+    reduction mod p per entry over F_p.  Member rows are each member's stored
+    Subspace.rows, which the kernels take as they are; seed rows are
+    converted here.
 
     States are built in two ways and land in one dict, so either way reuses
     what the other built.  rank(mask) extends the state of the mask with its
@@ -152,7 +152,7 @@ class SpanRankCache:
             raise MixedAmbient("empty cache needs an explicit field and width")
         self.field = field
         self.ncols = ncols
-        self.member_rows = [m.int_rows for m in members]
+        self.member_rows = [m.rows for m in members]
         convert = _primitive if field.p is None else tuple
         self._states: dict[int, list] = {
             0: _extend_basis([], map(convert, seed_rows), field.p, ncols)}
@@ -326,7 +326,7 @@ def hat_family(family: SubspaceFamily, pi_star: Partition, c) -> SubspaceFamily:
     for block in pi_star.blocks:
         rows = []
         for i in block:
-            rows.extend(family[i].basis.rows)
+            rows.extend(family[i].rows)
         members.append(subspace_from_rows(family.field, family.ambient_dim, rows))
     _check_hat_distinct(members, c)
     return SubspaceFamily(family.field, family.ambient_dim, tuple(members))

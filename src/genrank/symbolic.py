@@ -35,13 +35,14 @@ from .fields import DEFAULT_PRIME, FieldSpec
 from .linalg import (
     Matrix,
     Subspace,
+    _echelon,
     _extend_basis,
     _primitive,
+    _subspace_of_echelon,
     determinant,
     dot,
     kernel_in_subspace,
     rank,
-    rref,
     sample_vector,
     subspace_from_rows,
     zero_subspace,
@@ -89,12 +90,11 @@ def rk_family(inst: RkInstance) -> tuple[SubspaceFamily, list[int]]:
     members = []
     dropped = []
     for i, factors in enumerate(inst.tensors):
-        stacked = Matrix.from_rows(inst.field, [tuple(a) for a in factors], inst.ambient_dim)
-        reduced, rk = rref(stacked)
-        if rk < inst.order:
+        basis = _echelon(inst.field.p, factors)
+        if len(basis) < inst.order:
             dropped.append(i)
         else:
-            members.append(Subspace(inst.ambient_dim, reduced))
+            members.append(_subspace_of_echelon(inst.field, inst.ambient_dim, basis))
     return SubspaceFamily(inst.field, inst.ambient_dim, tuple(members)), dropped
 
 
@@ -328,7 +328,7 @@ def split_to_planes(family: SubspaceFamily) -> SubspaceFamily:
     for i, f in enumerate(family):
         if f.dim < 2:
             raise DimTooSmall(f"member {i} has dimension {f.dim} < 2")
-        rows = f.basis.rows
+        rows = f.rows
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 members.append(subspace_from_rows(family.field, family.ambient_dim,

@@ -254,10 +254,10 @@ def check_rref(m: Matrix) -> list[str]:
 def check_kernel_in_subspace(f: Subspace, constraints: Matrix) -> list[str]:
     """kernel_in_subspace lies in f and the constraints' kernel, with the expected dim."""
     inter = kernel_in_subspace(f, constraints)
-    mdots = [[dot(f.field, c, b) for b in f.basis.rows] for c in constraints.rows]
+    mdots = [[dot(f.field, c, b) for b in f.rows] for c in constraints.rows]
     return _failed(
         (all(f.contains(v) and all(dot(f.field, c, v) == 0 for c in constraints.rows)
-             for v in inter.basis.rows), "kernel_in_subspace vector invalid"),
+             for v in inter.rows), "kernel_in_subspace vector invalid"),
         (inter.dim == f.dim - rank(Matrix.from_rows(f.field, mdots, f.dim)),
          "kernel_in_subspace dimension off"))
 
@@ -278,7 +278,7 @@ def _prefix_masks(order: list[int]) -> list[int]:
 
 def check_span_cache(members: list[Subspace], seed: Subspace | None = None) -> list[str]:
     """SpanRankCache against direct spans: rank on every mask, prefix_ranks along the
-    sample orders, and subspace (value and int_rows) on every mask.
+    sample orders, and subspace (its stored rows) on every mask.
 
     seed, when given, supplies the cache's seed rows.  One cache walks the
     orders first and then scans every mask; another scans first and then
@@ -295,7 +295,7 @@ def check_span_cache(members: list[Subspace], seed: Subspace | None = None) -> l
         return fixed + [f for i, f in enumerate(members) if mask >> i & 1]
 
     def direct_span(mask: int) -> Subspace:
-        rows = [row for f in selected(mask) for row in f.basis.rows]
+        rows = [row for f in selected(mask) for row in f.rows]
         if not rows:
             return zero_subspace(space.field, space.ambient_dim)
         return subspace_from_rows(space.field, space.ambient_dim, rows)
@@ -315,13 +315,13 @@ def check_span_cache(members: list[Subspace], seed: Subspace | None = None) -> l
         checks = []
         for mask in [*reversed(masks), *masks]:
             got, want = cache.subspace(mask), direct_span(mask)
-            checks.append((got == want and got.int_rows == want.int_rows,
+            checks.append((got == want,
                            f"span cache ({label}) subspace differs from direct span "
                            f"on mask {mask}"))
         return checks
 
     def new_cache() -> SpanRankCache:
-        return SpanRankCache(members, seed.basis.rows if seed else (),
+        return SpanRankCache(members, seed.rows if seed else (),
                              space.field, space.ambient_dim)
 
     walked, scanned = new_cache(), new_cache()
@@ -405,12 +405,12 @@ def check_insertion_oracle(hat: SubspaceFamily, member: Subspace, c) -> list[str
 
 
 def check_hat_spans(state: EngineState, family: SubspaceFamily) -> list[str]:
-    """Each hat member equals the canonical span of its block's original rows, int_rows too."""
+    """Each hat member's stored rows are those of the canonical span of its block's original rows."""
     failures = []
     for member, block in zip(state.hat, state.blocks):
         direct = subspace_from_rows(family.field, family.ambient_dim,
-                                    [row for i in sorted(block) for row in family[i].basis.rows])
-        failures += _failed((member == direct and member.int_rows == direct.int_rows,
+                                    [row for i in sorted(block) for row in family[i].rows])
+        failures += _failed((member == direct,
                              f"hat member for block {sorted(block)} is not its block's span"))
     return failures
 
@@ -602,7 +602,7 @@ def suite_partitions(seed: int) -> list[str]:
                 for block, member in zip(result.partition.blocks, hat.members):
                     direct = subspace_from_rows(
                         field, ambient,
-                        [row for i in block for row in family[i].basis.rows])
+                        [row for i in block for row in family[i].rows])
                     check.ok(member == direct,
                              f"hat member is not its block span (trial {trial}, c={c})")
     for trial in range(15):

@@ -200,3 +200,29 @@ def test_mnp_at_two_hundred_members():
     perm = list(range(200))
     random.Random(0).shuffle(perm)
     assert check_insertion_order(family, c, perm, backend="mnp") == []
+
+
+@pytest.mark.parametrize("run", ["rho", "rho-mnp", "rigidity"])
+def test_insertion_path_never_derives_the_fraction_basis(monkeypatch, run):
+    """The engine works on Subspace.rows alone: no input or hat member computes basis."""
+    import genrank.engine as engine_module
+    from genrank.rigidity import rigidity_rank_2d
+    from genrank.verify import random_graph
+
+    seen = []
+    original = engine_module.insert_subspace
+
+    def recording(state, g, original_index, backend=None):
+        new = original(state, g, original_index, backend=backend)
+        seen.append(g)
+        seen.extend(new.hat)
+        return new
+
+    monkeypatch.setattr(engine_module, "insert_subspace", recording)
+    if run == "rigidity":
+        rigidity_rank_2d(random_graph(12, random.Random(12), .4))
+    else:
+        family = random_family(Q, 8, 24, random.Random(24), max_dim=2)
+        rho(family, Fraction(3, 2), backend="mnp" if run == "rho-mnp" else None)
+    assert len(seen) > 24
+    assert all("basis" not in vars(s) for s in seen)

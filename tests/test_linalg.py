@@ -13,7 +13,6 @@ from genrank.fields import FieldSpec
 from genrank.linalg import (
     Matrix,
     Subspace,
-    _is_canonical,
     _rref_q,
     determinant,
     kernel_in_subspace,
@@ -93,9 +92,80 @@ def test_subspace_canonical_and_equality():
     assert a.dim == 2 and a.ambient_dim == 3 and not a.is_zero
     with pytest.raises(AllRowsZero):
         subspace_from_rows(Q, 3, frac_rows([[0, 0, 0]]))
-    # direct construction must present a canonical basis
-    with pytest.raises(Exception):
-        Subspace(3, Matrix.from_rows(Q, frac_rows([[2, 0, 0]]), 3))
+    # direct construction must present the canonical rows
+    with pytest.raises(DimensionMismatch):
+        Subspace(3, Q, ((2, 0, 0),))
+
+
+F7 = FieldSpec.prime(7)
+
+
+@pytest.mark.parametrize("field, rows", [
+    (Q, ((1, 0.5, 0),)),                  # a float entry
+    (Q, ((Fraction(1), 0, 0),)),          # a Fraction entry
+    (Q, ((True, 0, 0),)),                 # a bool entry
+    (Q, ((2, 0, 0),)),                    # content 2
+    (Q, ((1, 0, 0), (0, 2, 4))),          # content 2 in a later row
+    (Q, ((-1, 0, 1),)),                   # negative pivot
+    (F7, ((1, 9, 0),)),                   # residue above p
+    (F7, ((1, -1, 0),)),                  # negative residue
+    (F7, ((3, 0, 0),)),                   # pivot other than 1
+    (Q, ((0, 0, 0),)),                    # zero row
+    (F7, ((1, 0, 0), (0, 0, 0))),         # zero row after a nonzero one
+    (Q, ((0, 1, 0), (1, 0, 0))),          # leads decrease
+    (F7, ((1, 0, 0), (1, 0, 1))),         # leads repeat
+    (Q, ((1, 1, 0), (0, 1, 0))),          # nonzero in another row's pivot column
+    (F7, ((1, 0, 2), (0, 1, 0), (0, 0, 1))),  # the same, at the last row's pivot
+    (Q, ((1, 0),)),                       # too narrow
+    (F7, ((1, 0, 0, 0),)),                # too wide
+    (Q, ((1, 0, 0), (0, 1))),             # ragged
+    (Q, [(1, 0, 0)]),                     # not a tuple of rows
+    (F7, ([1, 0, 0],)),                   # a row that is not a tuple
+])
+def test_subspace_rejects_non_canonical_rows(field, rows):
+    with pytest.raises(DimensionMismatch):
+        Subspace(3, field, rows)
+
+
+def test_subspace_stores_integer_rows_and_derives_the_rref():
+    s = Subspace(3, Q, ((1, 0, -2), (0, 3, 1)))
+    assert s == subspace_from_rows(Q, 3, frac_rows([[2, 0, -4], [0, 6, 2]]))
+    assert "basis" not in vars(s)
+    assert s.basis.rows == ((1, 0, -2), (0, 1, Fraction(1, 3)))
+    assert all(isinstance(x, Fraction) for row in s.basis.rows for x in row)
+    assert Subspace(3, F7, ((1, 6, 0), (0, 0, 1))).basis.rows == ((1, 6, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("field, alphabet", [
+    (Q, (0, 0, 0, 1, 1, -1, 2, 3)),
+    (F7, (0, 0, 0, 1, 1, 2, 6)),
+    (FP, (0, 0, 0, 1, 1, 2, 10006)),
+])
+def test_subspace_accepts_exactly_the_canonical_rows(field, alphabet):
+    """Random small row sets: accepted iff they are subspace_from_rows' own rows."""
+    rng = random.Random(17)
+    accepted = 0
+    for _ in range(2000):
+        d = rng.randint(1, 4)
+        rows = tuple(tuple(rng.choice(alphabet) for _ in range(d))
+                     for _ in range(rng.randint(1, 3)))
+        reduced = rref(Matrix(field, rows, d))[0]
+        try:
+            canonical = subspace_from_rows(field, d, rows)
+        except AllRowsZero:
+            canonical = None
+            assert reduced.nrows == 0
+        else:
+            assert canonical.basis == reduced
+        try:
+            s = Subspace(d, field, rows)
+        except DimensionMismatch:
+            s = None
+        assert (s is not None) == (canonical is not None and rows == canonical.rows), rows
+        if s is not None:
+            accepted += 1
+            assert s == canonical and hash(s) == hash(canonical) and s.basis == reduced
+    assert accepted >= 200
 
 
 def test_subspace_contains():
@@ -163,6 +233,18 @@ def test_sample_vector_deterministic():
 
 # -- differential check of the integer kernels against minors ----------------
 
+def is_rref(rows):
+    """Reduced row echelon form with no zero rows: each lead is 1, right of the
+    lead above, and the only nonzero entry of its column."""
+    leads = []
+    for row in rows:
+        lead = next((j for j, x in enumerate(row) if x != 0), None)
+        if lead is None or (leads and lead <= leads[-1]) or row[lead] != 1:
+            return False
+        leads.append(lead)
+    return all(row[col] == (r == i) for r, row in enumerate(rows) for i, col in enumerate(leads))
+
+
 def minor_rank(field, rows):
     """Largest k with a nonzero k x k minor, by the field-generic determinant."""
     if not rows:
@@ -209,7 +291,7 @@ def test_rank_kernels_match_minor_rank(field):
         m = Matrix.from_rows(field, rows, ncols)
         reduced, rk = rref(m)
         assert rank(m) == rk == expected
-        assert _is_canonical(reduced)
+        assert is_rref(reduced.rows)
         # the reduced rows span exactly the input rows
         assert rank(Matrix(field, reduced.rows + m.rows, ncols)) == expected
         members = [subspace_from_rows(field, ncols, [r]) for r in rows if any(r)]
@@ -222,12 +304,12 @@ def test_rref_q_canonical_and_spanning():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         rows = random_rows(Q, nrows, ncols, rng.randint(1, min(nrows, ncols)), rng)
         reduced = _rref_q(rows)
-        basis = Matrix.from_rows(Q, reduced, ncols) if reduced else Matrix(Q, (), ncols)
-        assert _is_canonical(basis)
+        assert is_rref(reduced)
         assert all(isinstance(x, Fraction) for row in reduced for x in row)
         assert len(reduced) == minor_rank(Q, rows)
         if reduced:
-            space = Subspace(ncols, basis)
+            space = subspace_from_rows(Q, ncols, reduced)
+            assert space.basis.rows == tuple(map(tuple, reduced))
             assert all(space.contains(r) for r in rows)
 
 
